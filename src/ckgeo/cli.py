@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from .core import Element, IDENTITY, evaluate, inverse, multiply
-from .errors import ParseError, ResourceError
+from .errors import BallBudgetError, ParseError, ResourceError
 from .geodesics import LengthTable, continuations, is_geodesic, length, std_rep
 from .moves import check_theorem2, orbit
 from .oracle import (
@@ -359,6 +359,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BallBudgetError as exc:
+        print(
+            f"error: {exc} (reached {exc.states} states,"
+            f" {exc.levels_completed} levels completed)",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

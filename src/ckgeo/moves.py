@@ -3,8 +3,13 @@
 Three candidate families are generated syntactically and then validated
 semantically; a candidate becomes a :class:`MoveEdge` only if it has the same
 length, is freely reduced, and evaluates to the same element as the source
-(geodesity is inherited through the length).  Generation is deliberately
-generous — the validator is the single point of truth.
+(geodesity is inherited through the length).  The validator is the single
+point of truth; generation only skips candidates that provably fail it.
+Detowering works out the element shift of each a-letter shift from the
+column parity alone and builds just the pairs whose shifts cancel and whose
+b-run lengths add up to the source length; clipping pairs only
+transpositions with cancelling area shifts.  Each family evaluates the
+source once and compares every candidate against that element.
 
 * EVEN_CASTLING — slide one b-letter across a doubled a-letter (x x y ↔ y x x
   for x ∈ {a, a⁻¹}, y ∈ {b, b⁻¹});
@@ -24,8 +29,8 @@ import enum
 from dataclasses import dataclass
 
 from .core import Element, evaluate, is_normalized
-from .errors import OrbitCapError
-from .geodesics import is_geodesic, length, std_rep
+from .errors import GeodesicCapError, OrbitCapError
+from .geodesics import geodesic_count, is_geodesic, length, std_rep
 from .words import Word, format_word, free_reduce, is_reduced, word_sort_key
 
 
@@ -53,13 +58,16 @@ class MoveEdge:
         }
 
 
-def _validated(w: Word, cand: Word, kind: MoveKind, site: str) -> MoveEdge | None:
-    """Admit a candidate only if it preserves length, reducedness, element."""
+def _validated(
+    w: Word, cand: Word, kind: MoveKind, site: str, g: Element
+) -> MoveEdge | None:
+    """Admit a candidate only if it preserves length, reducedness, and the
+    element ``g == evaluate(w)``."""
     if cand == w or len(cand) != len(w):
         return None
     if not is_reduced(cand):
         return None
-    if evaluate(cand) != evaluate(w):
+    if evaluate(cand) != g:
         return None
     return MoveEdge(source=w, target=cand, kind=kind, site=site)
 
@@ -102,6 +110,7 @@ def _b_run(signed: int) -> str:
 
 def castling_neighbors(w: Word) -> list[MoveEdge]:
     """Slide a b-letter across a doubled a-letter: x x y ↔ y x x."""
+    g = evaluate(w)
     edges = []
     for i in range(len(w) - 2):
         x1, x2, x3 = w[i], w[i + 1], w[i + 2]
@@ -111,7 +120,7 @@ def castling_neighbors(w: Word) -> list[MoveEdge]:
         elif x2 == x3 and x2 in "aA" and x1 in "bB":
             cand = w[:i] + x2 + x3 + x1 + w[i + 3 :]
         if cand is not None:
-            edge = _validated(w, cand, MoveKind.EVEN_CASTLING, f"@{i}")
+            edge = _validated(w, cand, MoveKind.EVEN_CASTLING, f"@{i}", g)
             if edge is not None:
                 edges.append(edge)
     return edges
@@ -120,34 +129,67 @@ def castling_neighbors(w: Word) -> list[MoveEdge]:
 def detowering_neighbors(w: Word) -> list[MoveEdge]:
     """Shift two distinct a-letters across one adjacent b-step each.
 
-    Shifting the i-th a-letter transfers one signed unit between the b-runs
-    on its two sides; candidates try every direction pair (including one
-    letter staying put, which the validator always rejects on its own since
-    a lone shift changes the element).
+    Shifting a-letter i by d moves d signed b-steps from the run after it to
+    the run before it.  With x_i = sum(axes[:i]) the column before the letter
+    and σ_i = (−1)^{x_i}, that changes (k, m) by exactly d·σ_i·(−1, +2), so a
+    pair of shifts (d_i, d_j) keeps the element iff d_i·σ_i + d_j·σ_j = 0:
+    d_i = ±1 and d_j = −d_i·σ_i·σ_j.  A lone shift never keeps it.  A built
+    candidate has len(axes) + Σ|gaps| letters, so a pair that changes the
+    length is dropped from the ≤ 4 gaps it touches, before any string is
+    built.  Candidates come in the order (i, j, d_i), i < j, d_i = −1 first.
     """
     gaps, axes = _gaps_axes(w)
     p = len(axes)
+    if p < 2:
+        return []
+    g = evaluate(w)
+    # The length change a surviving pair must make.
+    slack = len(w) - p - sum(map(abs, gaps))
+    sigma = []
+    x = 0
+    for axis in axes:
+        sigma.append(-1 if x & 1 else 1)
+        x += axis
+    # grow[i][d]: length change of shifting a-letter i alone by d = ±1.
+    grow = [
+        {
+            d: abs(gaps[i] + d) - abs(gaps[i]) + abs(gaps[i + 1] - d) - abs(gaps[i + 1])
+            for d in (-1, 1)
+        }
+        for i in range(p)
+    ]
     edges = []
     for i in range(p):
         for j in range(i + 1, p):
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    new_gaps = list(gaps)
-                    new_gaps[i] += di
-                    new_gaps[i + 1] -= di
-                    new_gaps[j] += dj
-                    new_gaps[j + 1] -= dj
-                    cand = _build(new_gaps, axes)
-                    edge = _validated(
-                        w,
-                        cand,
-                        MoveKind.DETOWERING,
-                        f"a{i}{'+' if di >= 0 else '-'}|a{j}{'+' if dj >= 0 else '-'}",
+            flip = sigma[i] * sigma[j]
+            for di in (-1, 1):
+                dj = -di * flip
+                if j == i + 1:
+                    # The two shifts share gap j.
+                    before, shared, after = gaps[i], gaps[j], gaps[j + 1]
+                    change = (
+                        abs(before + di) - abs(before)
+                        + abs(shared - di + dj) - abs(shared)
+                        + abs(after - dj) - abs(after)
                     )
-                    if edge is not None:
-                        edges.append(edge)
+                else:
+                    change = grow[i][di] + grow[j][dj]
+                if change != slack:
+                    continue
+                new_gaps = list(gaps)
+                new_gaps[i] += di
+                new_gaps[i + 1] -= di
+                new_gaps[j] += dj
+                new_gaps[j + 1] -= dj
+                edge = _validated(
+                    w,
+                    _build(new_gaps, axes),
+                    MoveKind.DETOWERING,
+                    f"a{i}{'+' if di > 0 else '-'}|a{j}{'+' if dj > 0 else '-'}",
+                    g,
+                )
+                if edge is not None:
+                    edges.append(edge)
     return edges
 
 
@@ -176,6 +218,7 @@ def _transposition_sites(w: Word) -> list[tuple[int, int, Word]]:
 
 def clipping_neighbors(w: Word) -> list[MoveEdge]:
     """Relocate boundary cells: cancelling transposition pairs + reflections."""
+    g = evaluate(w)
     edges = []
     sites = _transposition_sites(w)
     for s1 in range(len(sites)):
@@ -189,7 +232,7 @@ def clipping_neighbors(w: Word) -> list[MoveEdge]:
             cand = (
                 w[:i1] + window1 + w[i1 + 2 : i2] + window2 + w[i2 + 2 :]
             )
-            edge = _validated(w, cand, MoveKind.CLIPPING, f"@{i1}+@{i2}")
+            edge = _validated(w, cand, MoveKind.CLIPPING, f"@{i1}+@{i2}", g)
             if edge is not None:
                 edges.append(edge)
     gaps, axes = _gaps_axes(w)
@@ -198,7 +241,7 @@ def clipping_neighbors(w: Word) -> list[MoveEdge]:
             new_axes = list(axes)
             new_axes[i], new_axes[i + 1] = new_axes[i + 1], new_axes[i]
             cand = _build(gaps, new_axes)
-            edge = _validated(w, cand, MoveKind.CLIPPING, f"reflect@a{i}")
+            edge = _validated(w, cand, MoveKind.CLIPPING, f"reflect@a{i}", g)
             if edge is not None:
                 edges.append(edge)
     return edges
@@ -219,19 +262,27 @@ def neighbors(w: Word) -> list[MoveEdge]:
     return out
 
 
-def orbit(w: Word, *, cap: int = 100_000) -> list[Word]:
+def orbit(
+    w: Word, *, cap: int = 100_000, edges: list[MoveEdge] | None = None
+) -> list[Word]:
     """The move-closure of ``w``, sorted lexicographically by formatted word.
 
     Every move preserves the evaluated element and the word length, so the
     orbit is a set of equal-length representatives of one element.  Raises
-    :class:`OrbitCapError` past ``cap`` words.
+    :class:`OrbitCapError` past ``cap`` words.  The walk runs
+    :func:`neighbors` once on every orbit word; when ``edges`` is a list,
+    every edge it validates is appended to it, in walk order, so a completed
+    walk leaves there each orbit word's full neighbor list exactly once.
     """
     seen = {w}
     frontier = [w]
     while frontier:
         nxt = []
         for u in frontier:
-            for edge in neighbors(u):
+            found = neighbors(u)
+            if edges is not None:
+                edges.extend(found)
+            for edge in found:
                 if edge.target not in seen:
                     seen.add(edge.target)
                     nxt.append(edge.target)
@@ -280,37 +331,34 @@ def check_theorem2(
 
     Geodesics are enumerated exhaustively with the brute-force oracle (a
     ball of radius length(g) is built on demand when none is supplied).
-    The report lists unreached geodesics, orbit words that are not geodesic
-    (impossible by the validator; reported for honesty), and every validated
-    edge among the orbit words.
+    Raises :class:`GeodesicCapError` before any ball is built when the
+    closed-form :func:`geodesic_count` exceeds ``geodesic_cap``.  The report
+    lists unreached geodesics, orbit words that are not geodesic (impossible
+    by the validator; reported for honesty), and every validated edge among
+    the orbit words, as collected by the orbit walk itself.
     """
     from .oracle import build_ball, enumerate_geodesics
 
+    count = geodesic_count(g)
+    if count > geodesic_cap:
+        raise GeodesicCapError(
+            f"{g.format()} has {count} geodesics, more than"
+            f" geodesic_cap={geodesic_cap}"
+        )
     total = length(g)
     if ball is None:
         ball = build_ball("ck", total)
     geos = enumerate_geodesics(ball, g, cap=geodesic_cap)
-    orb = orbit(std_rep(g), cap=orbit_cap)
+    edges: list[MoveEdge] = []
+    orb = orbit(std_rep(g), cap=orbit_cap, edges=edges)
     geo_set = set(geos)
     orb_set = set(orb)
     missing = tuple(sorted(geo_set - orb_set, key=word_sort_key))
     extra = tuple(sorted(orb_set - geo_set, key=word_sort_key))
-    edges = []
-    seen = set()
-    for u in orb:
-        for edge in neighbors(u):
-            key = (edge.source, edge.target, edge.kind, edge.site)
-            if key not in seen:
-                seen.add(key)
-                edges.append(edge)
-    edges.sort(
-        key=lambda e: (
-            word_sort_key(e.source),
-            word_sort_key(e.target),
-            e.kind.value,
-            e.site,
-        )
-    )
+    # Every edge joins two orbit words, so their word_sort_key ranks among
+    # the orbit order edges exactly as the keys themselves would.
+    rank = {u: i for i, u in enumerate(sorted(orb, key=word_sort_key))}
+    edges.sort(key=lambda e: (rank[e.source], rank[e.target], e.kind.value, e.site))
     return ConnectivityReport(
         element=g,
         length=total,

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from ckgeo import oracle
 from ckgeo.cli import main
+from ckgeo.errors import BallBudgetError
+from ckgeo.oracle import build_ball
 
 
 def run(capsys, *argv):
@@ -78,6 +81,16 @@ class TestTheorem2:
         assert data["connected"] is True
         assert data["geodesic_count"] == 4
 
+    def test_geodesic_cap_fails_before_any_ball(self, capsys, monkeypatch):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("build_ball called past the geodesic budget")
+
+        monkeypatch.setattr(oracle, "build_ball", no_ball)
+        rc, out, err = run(capsys, "check-theorem2", "(40,40,40)")
+        assert rc == 3
+        assert out == ""
+        assert "geodesic_cap=100000" in err
+
 
 class TestBall:
     def test_summary_line(self, capsys):
@@ -111,6 +124,15 @@ class TestBall:
         rc, _, err = run(capsys, "ball", "12", "--max-states", "100")
         assert rc == 3
         assert "budget" in err or "states" in err
+
+    def test_max_states_error_reports_progress(self, capsys):
+        with pytest.raises(BallBudgetError) as info:
+            build_ball("ck", 12, max_states=100)
+        rc, out, err = run(capsys, "ball", "12", "--max-states", "100")
+        assert rc == 3
+        assert out == ""
+        assert f"reached {info.value.states} states" in err
+        assert f"{info.value.levels_completed} levels completed" in err
 
 
 class TestAudit:

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from ckgeo import moves
 from ckgeo.core import Element, evaluate, normalize_quadrant
-from ckgeo.errors import OrbitCapError
+from ckgeo.errors import GeodesicCapError, OrbitCapError
 from ckgeo.geodesics import geodesic_count, is_geodesic, std_rep
 from ckgeo.moves import (
+    MoveEdge,
     MoveKind,
     castling_neighbors,
     check_theorem2,
@@ -18,13 +20,50 @@ from ckgeo.moves import (
     young_recompose,
     young_rectangle,
 )
-from ckgeo.words import cyclic_shifts, format_word
+from ckgeo.words import cyclic_shifts, format_word, is_reduced, word_sort_key
 
 SEED = 58
 
 
 def _targets(edges):
     return {e.target for e in edges}
+
+
+def _exhaustive_detowering(w):
+    """Detowering as first written: all 8 shift pairs per pair of a-letters,
+    each built and checked against the source's length and element."""
+    gaps, axes = moves._gaps_axes(w)
+    p = len(axes)
+    edges = []
+    for i in range(p):
+        for j in range(i + 1, p):
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    if di == 0 and dj == 0:
+                        continue
+                    new_gaps = list(gaps)
+                    new_gaps[i] += di
+                    new_gaps[i + 1] -= di
+                    new_gaps[j] += dj
+                    new_gaps[j + 1] -= dj
+                    cand = moves._build(new_gaps, axes)
+                    if (
+                        cand != w
+                        and len(cand) == len(w)
+                        and is_reduced(cand)
+                        and evaluate(cand) == evaluate(w)
+                    ):
+                        site = f"a{i}{'+' if di >= 0 else '-'}|a{j}{'+' if dj >= 0 else '-'}"
+                        edges.append(MoveEdge(w, cand, MoveKind.DETOWERING, site))
+    return edges
+
+
+def _reference_neighbors(w):
+    """neighbors() with the exhaustive detowering in place of the pruned one."""
+    out = {}
+    for e in castling_neighbors(w) + _exhaustive_detowering(w) + clipping_neighbors(w):
+        out.setdefault((e.target, e.kind, e.site), e)
+    return sorted(out.values(), key=lambda e: (word_sort_key(e.target), e.kind.value, e.site))
 
 
 class TestCastling:
@@ -64,6 +103,25 @@ class TestDetowering:
     def test_no_moves_without_two_a_letters(self):
         assert detowering_neighbors("bbb") == []
         assert detowering_neighbors("abb") == []
+
+    def test_pruning_matches_exhaustive_search_on_ball(self, ball8):
+        from ckgeo.oracle import enumerate_geodesics
+
+        checked = 0
+        for key in sorted(ball8.distances):
+            for w in enumerate_geodesics(ball8, Element(*key)):
+                assert detowering_neighbors(w) == _exhaustive_detowering(w), w
+                assert neighbors(w) == _reference_neighbors(w), w
+                checked += 1
+        assert checked == sum(geodesic_count(Element(*key)) for key in ball8.distances)
+
+    def test_pruning_matches_exhaustive_search_off_geodesics(self):
+        # Unreduced and non-geodesic sources too: their b-runs may cancel
+        # inside, so the length budget differs from the gap sum.
+        rng = random.Random(SEED)
+        for _ in range(500):
+            w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 11)))
+            assert detowering_neighbors(w) == _exhaustive_detowering(w), w
 
 
 class TestClipping:
@@ -136,6 +194,17 @@ class TestOrbit:
         with pytest.raises(OrbitCapError):
             orbit("aBaaBB", cap=2)
 
+    def test_long_a_power_is_fixed(self):
+        assert orbit("a" * 300) == ["a" * 300]
+
+    def test_edges_collects_each_words_neighbors_once(self):
+        edges = []
+        words = orbit("aBaaBB", edges=edges)
+        assert sorted(edges, key=lambda e: (e.source, e.target, e.site)) == sorted(
+            (e for u in words for e in neighbors(u)),
+            key=lambda e: (e.source, e.target, e.site),
+        )
+
 
 class TestConnectivity:
     def test_central_example(self):
@@ -152,6 +221,30 @@ class TestConnectivity:
         assert rep.geodesic_count == 12
         assert rep.orbit_size == 12
         assert rep.connected
+
+    def test_edges_come_from_the_orbit_walk(self, monkeypatch):
+        calls = []
+        real = moves.neighbors
+
+        def counted(w):
+            calls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(moves, "neighbors", counted)
+        rep = check_theorem2(Element(-1, 3, 4))
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) == rep.orbit_size == 12
+
+    def test_geodesic_cap_checked_before_any_ball(self, monkeypatch):
+        from ckgeo import oracle
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the oracle ran despite the geodesic cap")
+
+        monkeypatch.setattr(oracle, "build_ball", fail)
+        monkeypatch.setattr(oracle, "enumerate_geodesics", fail)
+        with pytest.raises(GeodesicCapError):
+            check_theorem2(Element(-1, 3, 4), geodesic_cap=11)
 
     def test_report_serializes(self):
         d = check_theorem2(Element(1, 0, 0)).to_dict()
