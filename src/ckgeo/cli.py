@@ -175,6 +175,10 @@ def _length_suite(ball: BallIndex) -> CheckReport:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    if args.negative_control and args.model == "klein":
+        raise ValueError(
+            "--negative-control needs a model with a standard language: ck or z2"
+        )
     ball = build_ball(args.model, args.radius, max_states=args.max_states)
     report: dict = {
         "model": args.model,

@@ -49,8 +49,14 @@ def length(g: Element) -> int:
     """Word length of ``g`` (closed form).
 
     Normalized coordinates: m + n when k = 0, else |k+m| + |k| + 1 + |n−1|.
+    Normalizes inline, as :func:`normalize_quadrant` does: the audits call
+    this hundreds of thousands of times and need no flip record.
     """
-    k, m, n = normalize_quadrant(g).normalized
+    k, m, n = g
+    if m < 0:
+        k, m = -k, -m
+    if n < 0:
+        n = -n
     if k == 0:
         return m + n
     return abs(k + m) + abs(k) + 1 + abs(n - 1)
@@ -170,20 +176,28 @@ def geodesic_count(g: Element) -> int:
 def closed_ball_elements(radius: int) -> list[Element]:
     """All elements with length <= radius, enumerated from the closed form.
 
-    Scans the coordinate box |k|, |m|, |n| <= radius, which contains the ball
-    (each coordinate is bounded by the length).  Independent of the oracle's
-    BFS; sorted for determinism.
+    Walks the coordinate square |k|, |m| <= radius (each coordinate is
+    bounded by the length) and solves the length bound for the range of
+    |n| at each (k, m): with (k', m') the normalized pair, |n| <= radius − m'
+    when k' = 0, else ||n| − 1| <= radius − (|k'+m'| + |k'| + 1).
+    Independent of the oracle's BFS; sorted by construction.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     out = []
     for k in range(-radius, radius + 1):
         for m in range(-radius, radius + 1):
-            for n in range(-radius, radius + 1):
-                g = Element(k, m, n)
-                if length(g) <= radius:
-                    out.append(g)
-    out.sort()
+            kn, mn = (-k, -m) if m < 0 else (k, m)
+            if kn == 0:
+                low, high = 0, radius - mn
+            else:
+                slack = radius - abs(kn + mn) - abs(kn) - 1
+                if slack < 0:
+                    continue
+                low, high = max(0, 1 - slack), 1 + slack
+            # n = -high..-low, then low..high: ascending, with 0 at most once.
+            out.extend(Element(k, m, n) for n in range(-high, -max(low, 1) + 1))
+            out.extend(Element(k, m, n) for n in range(low, high + 1))
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from .core import GENERATORS, IDENTITY, Element, multiply
+from .core import GENERATORS, IDENTITY, Element, evaluate, multiply
 from .words import Letter, Word
 
 State = Any
@@ -66,6 +66,9 @@ class _CkModel(GroupModel):
 
     def step(self, state: Element, letter: Letter) -> Element:
         return multiply(state, GENERATORS[letter])
+
+    def evaluate(self, w: Word) -> Element:
+        return evaluate(w)
 
     def from_key(self, key) -> Element:
         return Element(*key)

@@ -387,13 +387,17 @@ def check_standard_language(
     for state in ball.distances:
         if state not in seen:
             geodesic_failures.append(f"coverage: no word for state {state}")
-    proper_prefixes: set[Word] = set()
-    for w in words:
-        for i in range(len(w)):
-            proper_prefixes.add(w[:i])
-    for w in words:
-        if len(w) < ball.radius and w not in proper_prefixes:
-            prefix_failures.append(format_word(w))
+    # The words that start with w form one run right after w in plain str
+    # order, so w is a proper prefix of a language word iff its successor
+    # there starts with it.
+    by_text = sorted(words)
+    terminal = [
+        w
+        for w, successor in zip(by_text, by_text[1:] + [None])
+        if len(w) < ball.radius and not (successor and successor.startswith(w))
+    ]
+    for w in sorted(terminal, key=word_sort_key):
+        prefix_failures.append(format_word(w))
     return AuditReport(
         model=ball.model,
         radius=ball.radius,
@@ -514,13 +518,14 @@ def check_last_letter(ball: BallIndex, *, max_distance: int | None = None) -> Ch
             continue
         checked += 1
         g = Element(*state)
+        closed_shorter = length(g) - 1
         oracle_set = ""
         closed_set = ""
         for s in LETTERS:
             h = multiply(g, inverse(GENERATORS[s]))
             if ball.distances.get((h.k, h.m, h.n), -1) == d - 1:
                 oracle_set += s
-            if length(h) == length(g) - 1:
+            if length(h) == closed_shorter:
                 closed_set += s
         if oracle_set != closed_set or not oracle_set:
             failures.append(

@@ -62,9 +62,14 @@ def letter_rank(c: Letter) -> int:
         raise ValueError(f"not a letter: {c!r}") from None
 
 
-def word_sort_key(w: Word) -> tuple[int, tuple[int, ...]]:
+#: Letters as digits that compare in canonical order, so a translated word
+#: compares like its tuple of letter ranks.
+_RANK_DIGITS = str.maketrans(LETTERS, "0123")
+
+
+def word_sort_key(w: Word) -> tuple[int, str]:
     """Sort key: length first, then canonical letter order."""
-    return (len(w), tuple(_RANK[c] for c in w))
+    return (len(w), w.translate(_RANK_DIGITS))
 
 
 def parse_word(text: str) -> Word:
@@ -148,8 +153,14 @@ def is_reduced(w: Word) -> bool:
     return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
 
 
+_DELETE_LETTERS = str.maketrans("", "", LETTERS)
+_CANCELLING_PAIR = re.compile("aA|Aa|bB|Bb")
+
+
 def free_reduce(w: Word) -> Word:
     """Delete adjacent inverse pairs until none remain (confluent)."""
+    if not w.translate(_DELETE_LETTERS) and _CANCELLING_PAIR.search(w) is None:
+        return w
     stack: list[str] = []
     for c in w:
         if not is_letter(c):

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from ckgeo import oracle
+from ckgeo import cli, kernels, oracle
 from ckgeo.cli import main
 from ckgeo.errors import BallBudgetError
 from ckgeo.oracle import build_ball
@@ -162,6 +163,47 @@ class TestAudit:
         rc2, out2, _ = run(capsys, "audit", "--model", "ck", "--radius", "6")
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_klein_negative_control_rejected_before_any_ball(self, capsys, monkeypatch):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("build_ball called for an unsupported audit")
+
+        monkeypatch.setattr(oracle, "build_ball", no_ball)
+        monkeypatch.setattr(cli, "build_ball", no_ball)
+        rc, out, err = run(capsys, "audit", "--model", "klein", "--negative-control")
+        assert rc == 2
+        assert out == ""
+        assert "--negative-control" in err
+
+    # SHA-256 of the audit's stdout and its exit code, recorded before the
+    # audit's closed-form layer was rewritten; a change to any suite's
+    # output shows here.
+    @pytest.mark.parametrize(
+        "model,radius,negative_control,code,digest",
+        [
+            ("ck", 8, False, 0, "db7247b0abf33c3c02d1163b693590fa40229e3705240b8f07fc1b12182ba30f"),
+            ("ck", 8, True, 5, "14d28c497615f80389ca938cba97b3e52fbc6056c8ef21062a3fb6ac85f7df92"),
+            ("klein", 8, False, 0, "0053e6d963e1722a6584b20e78f5de6e869d17e81c002b78c184454c0f257ccc"),
+            ("z2", 8, False, 0, "1e66d9ba85825ad597e7969db5ddc6534687c00c33133d6d33f44f16d578457a"),
+            ("z2", 8, True, 5, "4aeb94edd48d265eb6829f88ebe184788dfce70f8d361d0cb69848220790a0a7"),
+            ("ck", 12, False, 0, "461dde03a3bb23868306b8b9cb3196f0816b1f1ae9353f9debdaab408fd730d4"),
+            ("ck", 12, True, 5, "adf33d645d12fb3df2061680354094cc8aa09a7d7ae749b8785d7ab1cc12b5cc"),
+            ("klein", 12, False, 0, "c7f3ff04aed066ada97dd1e64ff5dd76ed448da5b0d197fdd2e2c2022f09a2b9"),
+            ("z2", 12, False, 0, "c6c72008604bae578e9b1fedbd325e401d3a32209e5f7a26a27949430745bbe5"),
+            ("z2", 12, True, 5, "9e67c99c62e1c6e674f152f65837aeb1c087647424c4ae8af8f326751957761a"),
+        ],
+    )
+    def test_golden_output(self, capsys, monkeypatch, model, radius, negative_control, code, digest):
+        # The digests were taken with the pure backend; both backends build
+        # the same balls, and the report's backend field is the only
+        # difference between them.
+        monkeypatch.setattr(kernels, "BACKEND", "pure")
+        argv = ["audit", "--model", model, "--radius", str(radius)]
+        if negative_control:
+            argv.append("--negative-control")
+        rc, out, _ = run(capsys, *argv)
+        assert rc == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRender:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ckgeo.core import IDENTITY, Element, evaluate, normalize_quadrant
 from ckgeo.geodesics import (
@@ -224,10 +225,42 @@ class TestGeodesicCount:
             assert geodesic_count(g) == geodesic_count(Element(g.k, g.m, -g.n))
 
 
+def _reference_length(g):
+    """The length formula applied to normalize_quadrant's output."""
+    k, m, n = normalize_quadrant(g).normalized
+    return m + n if k == 0 else abs(k + m) + abs(k) + 1 + abs(n - 1)
+
+
+class TestLengthFormula:
+    @given(*(st.integers(min_value=-10**6, max_value=10**6) for _ in range(3)))
+    def test_matches_normalized_formula(self, k, m, n):
+        assert length(Element(k, m, n)) == _reference_length(Element(k, m, n))
+
+
+def _box_scan_balls(max_radius):
+    """Reference: closed_ball_elements(r) for each r <= max_radius, by
+    scanning the whole (2r+1)^3 coordinate box."""
+    box = sorted(
+        Element(k, m, n)
+        for k in range(-max_radius, max_radius + 1)
+        for m in range(-max_radius, max_radius + 1)
+        for n in range(-max_radius, max_radius + 1)
+    )
+    lengths = [_reference_length(g) for g in box]
+    return [
+        [g for g, d in zip(box, lengths) if d <= r and max(map(abs, g)) <= r]
+        for r in range(max_radius + 1)
+    ]
+
+
 class TestBallHelpers:
     def test_closed_ball_matches_bfs(self, ball8):
         ours = {(g.k, g.m, g.n) for g in closed_ball_elements(8)}
         assert ours == set(ball8.distances)
+
+    def test_matches_box_scan(self):
+        for radius, expected in enumerate(_box_scan_balls(20)):
+            assert closed_ball_elements(radius) == expected
 
     def test_sorted_and_sized(self):
         elems = closed_ball_elements(4)

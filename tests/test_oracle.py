@@ -19,7 +19,7 @@ from ckgeo.oracle import (
     exact_length,
     expected_terminal_words,
 )
-from ckgeo.words import format_word
+from ckgeo.words import format_word, word_sort_key
 
 
 class TestBuildBall:
@@ -160,6 +160,29 @@ class TestStandardLanguageAudit:
     def test_model_mismatch(self, ball8):
         with pytest.raises(ValueError):
             check_standard_language(Z2StandardWords(), ball8)
+
+    @pytest.mark.parametrize(
+        "language,radius",
+        [
+            (CkStandardWords(), 8),
+            (CkStandardWords(), 12),
+            (Z2StandardWords(), 10),
+            (TruncatedLanguage(CkStandardWords(), 6), 8),
+            (TruncatedLanguage(CkStandardWords(), 10), 12),
+            (TruncatedLanguage(Z2StandardWords(), 7), 10),
+        ],
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_prefix_failures_match_materialized_prefixes(self, language, radius):
+        words = set(language.words(radius))
+        prefixes = {w[:i] for w in words for i in range(len(w))}
+        expected = [
+            format_word(w)
+            for w in sorted(words, key=word_sort_key)
+            if len(w) < radius and w not in prefixes
+        ]
+        rep = check_standard_language(language, build_ball(language.model, radius))
+        assert list(rep.prefix_failures) == expected
 
 
 class TestExpectedTerminalWords:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +78,17 @@ class TestFormat:
         assert parse_word(format_word(w)) == w
 
 
+def _stack_reduce(w):
+    """Reference free reduction: one stack pass, no fast path."""
+    stack = []
+    for c in w:
+        if stack and stack[-1] == c.swapcase():
+            stack.pop()
+        else:
+            stack.append(c)
+    return "".join(stack)
+
+
 class TestReduce:
     def test_simple_cancellation(self):
         assert free_reduce("aA") == ""
@@ -100,6 +113,18 @@ class TestReduce:
     def test_inverse_cancels(self, w):
         assert free_reduce(w + word_inverse(w)) == ""
         assert free_reduce(word_inverse(w) + w) == ""
+
+    @given(words_st)
+    def test_matches_stack_reference(self, w):
+        reduced = _stack_reduce(w)
+        assert free_reduce(w) == reduced
+        assert free_reduce(reduced) == reduced
+
+    @given(words_st, st.characters().filter(lambda c: c not in LETTERS), st.integers(min_value=0))
+    def test_bad_letter_raises(self, w, junk, where):
+        i = where % (len(w) + 1)
+        with pytest.raises(ValueError, match="not a letter"):
+            free_reduce(w[:i] + junk + w[i:])
 
     def test_word_inverse(self):
         assert word_inverse("abAB") == "baBA"
@@ -153,3 +178,12 @@ class TestSortKey:
 
     def test_length_first(self):
         assert sorted(["bb", "a", "B"], key=word_sort_key) == ["a", "B", "bb"]
+
+    def test_same_order_as_rank_tuples(self):
+        rng = random.Random(65)
+        # Short words collide on length often; random letters give unreduced
+        # words too.
+        words = ["".join(rng.choice(LETTERS) for _ in range(rng.randint(0, 9))) for _ in range(2000)]
+        rank = {c: i for i, c in enumerate(LETTERS)}
+        by_tuple = sorted(words, key=lambda w: (len(w), tuple(rank[c] for c in w)))
+        assert sorted(words, key=word_sort_key) == by_tuple
