@@ -1,9 +1,17 @@
-"""Pure-Python reference kernels for ball construction and geodesic DFS.
+"""Pure-Python reference kernels for ball construction and geodesic
+enumeration.
 
 These are the hot loops of the brute-force oracle.  A compiled twin with the
 same signatures lives in ``_kernels_cy.pyx``; :mod:`ckgeo.kernels` picks one
-at import time.  Both twins must return identical values — the test suite
-compares them directly, and the benchmark script measures the gap.
+at import time.  Both twins must return identical values: the test suite
+compares them directly when the twin is built, and the ``kernels`` workload
+of ``perfbench/run.py`` checks that both backends agree whenever both import.
+
+The balls are breadth-first searches.  :func:`ck_geodesics` enumerates
+level by level over the geodesic interval of its target (walk down while
+counting paths, then build the words bottom-up), so its cost follows the
+number of interval states and words rather than the number of prefixes a
+depth-first walk visits.  The compiled twin still walks every prefix.
 
 State keys in the returned distance maps are plain tuples: ``(k, m, n)`` for
 the central extension, ``(m, n)`` for the two rank-2 quotient/control groups.
@@ -17,8 +25,7 @@ from .errors import BallBudgetError, GeodesicCapError
 
 BACKEND = "pure"
 
-#: Canonical letter order used for deterministic enumeration everywhere.
-_LETTERS = "aAbB"
+_State = tuple[int, int, int]
 
 
 def ck_ball(
@@ -113,45 +120,60 @@ def z2_ball(
 
 
 def ck_geodesics(
-    dist: dict[tuple[int, int, int], int],
-    target: tuple[int, int, int],
-    cap: int = 100_000,
+    dist: dict[_State, int], target: _State, cap: int = 100_000
 ) -> list[str]:
     """All geodesic words for ``target``, in canonical lexicographic order.
 
     ``dist`` must be a ball covering ``target`` (e.g. from :func:`ck_ball`).
-    A word s·u is geodesic for g iff u is geodesic for s⁻¹·g, so the DFS
-    peels letters off the left, descending one distance level per step;
-    trying letters in canonical order emits the words already sorted.
+    A word s·u is geodesic for g iff u is geodesic for s⁻¹·g, so the words
+    live on the geodesic interval: the states the left-peel reaches from
+    ``target``, one distance level per letter.  The interval is walked down
+    level by level, recording each state's descending children in canonical
+    letter order and counting the descending paths from ``target`` to each
+    state; at the bottom level those counts add up to the number of words,
+    so the cap is checked before any word is built.  Each state's words are
+    then built bottom-up as ``s + u`` over its children.  Every child's list
+    is sorted and all its words have one length, so concatenating the lists
+    in letter order keeps the result sorted.  Only two levels of word lists
+    are alive at a time.
     """
     try:
         total = dist[target]
     except KeyError:
         raise ValueError(f"target {target} not covered by the ball") from None
-    out: list[str] = []
-    prefix: list[str] = []
-
-    def descend(g: tuple[int, int, int], remaining: int) -> None:
-        if remaining == 0:
-            if len(out) >= cap:
-                raise GeodesicCapError(
-                    f"geodesic enumeration for {target} exceeded cap={cap}"
-                )
-            out.append("".join(prefix))
-            return
-        k, m, n = g
-        # Left-divide by each generator: candidates are gen(s)⁻¹ · g.
-        peeled = (
-            ("a", (k + m, -m, n - 1)),
-            ("A", (k + m, -m, n + 1)),
-            ("b", (k, m - 1, n)),
-            ("B", (k, m + 1, n)),
+    get = dist.get
+    # levels[i] lists each interval state at distance total − i with its
+    # children (letter, s⁻¹·g) in canonical order.
+    levels: list[list[tuple[_State, list[tuple[str, _State]]]]] = []
+    paths: dict[_State, int] = {target: 1}
+    for below in range(total - 1, -1, -1):
+        level = []
+        paths_below: dict[_State, int] = {}
+        for g, count in paths.items():
+            k, m, n = g
+            # Left-divide by each generator: candidates are gen(s)⁻¹ · g.
+            children = []
+            for letter, h in (
+                ("a", (k + m, -m, n - 1)),
+                ("A", (k + m, -m, n + 1)),
+                ("b", (k, m - 1, n)),
+                ("B", (k, m + 1, n)),
+            ):
+                if get(h) == below:
+                    children.append((letter, h))
+                    paths_below[h] = paths_below.get(h, 0) + count
+            level.append((g, children))
+        levels.append(level)
+        paths = paths_below
+    if sum(paths.values()) > cap:
+        raise GeodesicCapError(
+            f"geodesic enumeration for {target} exceeded cap={cap}"
         )
-        for letter, h in peeled:
-            if dist.get(h, -1) == remaining - 1:
-                prefix.append(letter)
-                descend(h, remaining - 1)
-                prefix.pop()
 
-    descend(target, total)
-    return out
+    words = {g: [""] for g in paths}
+    for level in reversed(levels):
+        words = {
+            g: [s + u for s, h in children for u in words[h]]
+            for g, children in level
+        }
+    return words[target]

@@ -16,8 +16,18 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .core import Element, GENERATORS, evaluate, multiply, normalize_quadrant
-from .words import LETTERS, Word, free_reduce
+from .core import Element, GENERATORS, evaluate, multiply
+from .words import LETTERS, Word
+
+
+#: Letter maps that pull a normalized word back, keyed by (full flip, n-flip):
+#: the full flip inverts every letter, the n-flip swaps a with a⁻¹, and the
+#: two together swap b with b⁻¹.
+_PULL_BACK = {
+    (True, False): str.maketrans("aAbB", "AaBb"),
+    (False, True): str.maketrans("aA", "Aa"),
+    (True, True): str.maketrans("bB", "Bb"),
+}
 
 
 def _run(letter: str, signed: int) -> str:
@@ -36,13 +46,26 @@ def std_rep(g: Element) -> Word:
 
     i.e. all excess b-steps are taken in the first column, all centre-loading
     b-steps in the second, and the remaining a-steps close the word (an a⁻¹
-    when n = 0).  For other quadrants the word is pulled back through the
-    flip letter maps, so ``evaluate(std_rep(g)) == g`` always.
+    when n = 0).  The only cancellation is a·a⁻¹ at k = n = 0.  For other
+    quadrants the word is pulled back through the flip letter maps, so
+    ``evaluate(std_rep(g)) == g`` always.  Normalizes inline, with the flips
+    :func:`normalize_quadrant` chooses: the full flip when m < 0, then the
+    n-flip when n is still negative.
     """
-    record = normalize_quadrant(g)
-    k, m, n = record.normalized
-    word = free_reduce(_run("b", k + m) + "a" + _run("b", k) + _run("a", n - 1))
-    return record.pull_back_word(word)
+    k, m, n = g
+    flip_all = m < 0
+    if flip_all:
+        k, m, n = -k, -m, -n
+    flip_a = n < 0
+    if flip_a:
+        n = -n
+    if k == 0 and n == 0:
+        word = "b" * m
+    else:
+        word = _run("b", k + m) + "a" + _run("b", k) + _run("a", n - 1)
+    if flip_all or flip_a:
+        word = word.translate(_PULL_BACK[flip_all, flip_a])
+    return word
 
 
 def length(g: Element) -> int:
@@ -89,8 +112,14 @@ class RegionCase(enum.Enum):
 
 
 def classify_region(g: Element) -> RegionCase:
-    """Classify after internal normalization (never returns UNNORMALIZED)."""
-    k, m, n = normalize_quadrant(g).normalized
+    """Classify after internal normalization (never returns UNNORMALIZED).
+
+    Normalizes inline; only k and m need it, as the n-flip keeps the parity
+    of n.
+    """
+    k, m, n = g
+    if m < 0:
+        k, m = -k, -m
     if k == 0:
         return RegionCase.ZERO_K
     if k > 0:
@@ -160,7 +189,11 @@ def geodesic_count(g: Element) -> int:
     with n = 0 it is a two-sided detour with |k+m|+1 splits and two mirror
     orientations; with k = 0 only the even columns carry weight.
     """
-    k, m, n = normalize_quadrant(g).normalized
+    k, m, n = g
+    if m < 0:
+        k, m = -k, -m
+    if n < 0:
+        n = -n
     if k == 0:
         half = n // 2
         return math.comb(m + half, half)

@@ -1,8 +1,9 @@
 """Backend selection for the hot kernels.
 
 Prefers the compiled extension (``_kernels_cy``) and falls back to the pure
-twin when it is absent.  Set ``CKGEO_PURE=1`` to force the pure backend (the
-benchmark and the twin-equality tests use this).  Both backends implement the
+twin when it is absent.  Set ``CKGEO_PURE=1`` to force the pure backend.  The
+twin-equality tests and the ``kernels`` benchmark workload load both backends
+by name through :func:`load_backend` instead.  Both backends implement the
 same four functions with identical outputs:
 
     ck_ball, klein_ball, z2_ball, ck_geodesics

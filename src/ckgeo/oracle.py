@@ -166,8 +166,9 @@ def enumerate_geodesics(
 ) -> list[Word]:
     """All geodesic words for a covered state, canonically sorted.
 
-    For the central extension the descending-distance DFS runs in the
-    selected kernel; other models use a generic right-peeling walk.
+    For the central extension the selected kernel enumerates level by level
+    over the geodesic interval (the pure twin; the compiled twin walks every
+    prefix); other models use a generic right-peeling walk.
     Raises :class:`GeodesicCapError` when more than ``cap`` words exist.
     """
     state = _as_state_key(ball, g)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ckgeo.core import IDENTITY, Element, evaluate, normalize_quadrant
 from ckgeo.geodesics import (
@@ -20,7 +20,7 @@ from ckgeo.geodesics import (
     length,
     std_rep,
 )
-from ckgeo.words import format_word, is_reduced
+from ckgeo.words import format_word, free_reduce, is_reduced
 
 SEED = 352
 
@@ -235,6 +235,75 @@ class TestLengthFormula:
     @given(*(st.integers(min_value=-10**6, max_value=10**6) for _ in range(3)))
     def test_matches_normalized_formula(self, k, m, n):
         assert length(Element(k, m, n)) == _reference_length(Element(k, m, n))
+
+
+def _reference_std_rep(g):
+    """The standard word built on normalize_quadrant: the formula for the
+    normalized element, freely reduced, pulled back through the flips."""
+    record = normalize_quadrant(g)
+    k, m, n = record.normalized
+
+    def run(letter, signed):
+        return letter * signed if signed >= 0 else letter.upper() * -signed
+
+    word = free_reduce(run("b", k + m) + "a" + run("b", k) + run("a", n - 1))
+    return record.pull_back_word(word)
+
+
+QUADRANTS = pytest.mark.parametrize("sm,sn", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+
+
+def _magnitude(bound):
+    return st.integers(min_value=0, max_value=bound)
+
+
+class TestInlineNormalization:
+    """The closed forms normalize inline; each must agree with the same form
+    evaluated on :func:`normalize_quadrant`'s output and pulled back through
+    its flips, in all four quadrants (axes included) and far beyond any ball."""
+
+    def test_box_with_axes(self):
+        # Every element with coordinates in [-6, 6]: all quadrant boundaries,
+        # where the choice of flips matters most (the n-flip fixes n = 0).
+        for k in range(-6, 7):
+            for m in range(-6, 7):
+                for n in range(-6, 7):
+                    g = Element(k, m, n)
+                    h = normalize_quadrant(g).normalized
+                    assert std_rep(g) == _reference_std_rep(g), g
+                    assert geodesic_count(g) == geodesic_count(h), g
+                    assert classify_region(g) is classify_region(h), g
+
+    @QUADRANTS
+    @given(k=st.integers(-10**6, 10**6), m=_magnitude(10**6), n=_magnitude(10**6))
+    def test_classify_region(self, sm, sn, k, m, n):
+        g = Element(k, sm * m, sn * n)
+        assert classify_region(g) is classify_region(normalize_quadrant(g).normalized)
+
+    @QUADRANTS
+    @given(k=st.integers(-10**6, 10**6), m=_magnitude(10**6), n=_magnitude(64))
+    def test_geodesic_count(self, sm, sn, k, m, n):
+        # |n| stays small: math.comb on million-sized arguments takes seconds
+        # per call, and the normalization does not depend on the magnitude.
+        g = Element(k, sm * m, sn * n)
+        assert geodesic_count(g) == geodesic_count(normalize_quadrant(g).normalized)
+
+    @QUADRANTS
+    @settings(max_examples=30, deadline=None)  # words of up to 4·10⁶ letters
+    @given(k=st.integers(-10**6, 10**6), m=_magnitude(10**6), n=_magnitude(10**6))
+    def test_std_rep(self, sm, sn, k, m, n):
+        g = Element(k, sm * m, sn * n)
+        assert std_rep(g) == _reference_std_rep(g)
+
+    @QUADRANTS
+    @settings(deadline=None)
+    @given(k=st.integers(-10**4, 10**4), m=_magnitude(10**4), n=_magnitude(10**4))
+    def test_std_rep_spells_a_geodesic(self, sm, sn, k, m, n):
+        g = Element(k, sm * m, sn * n)
+        w = std_rep(g)
+        assert evaluate(w) == g
+        assert len(w) == length(g)
+        assert is_reduced(w)
 
 
 def _box_scan_balls(max_radius):
