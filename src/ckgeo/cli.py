@@ -157,14 +157,17 @@ def _length_suite(ball: BallIndex) -> CheckReport:
     """Closed-form lengths against BFS distances, both key sets compared."""
     table = LengthTable.build(ball.radius)
     failures = []
+    # Element is a NamedTuple: it hashes and compares equal to the plain
+    # (k, m, n) key, so the table is looked up by the ball's keys directly.
+    entries = table.entries
     for state, d in ball.states_sorted():
-        g = Element(*state)
-        if g not in table:
-            failures.append(f"{g.format()}: missing from closed-form ball")
-        elif table[g] != d:
-            failures.append(f"{g.format()}: closed form {table[g]}, oracle {d}")
-    for g in table.entries:
-        if (g.k, g.m, g.n) not in ball.distances:
+        closed = entries.get(state)
+        if closed is None:
+            failures.append(f"{Element(*state).format()}: missing from closed-form ball")
+        elif closed != d:
+            failures.append(f"{Element(*state).format()}: closed form {closed}, oracle {d}")
+    for g in entries:
+        if g not in ball.distances:
             failures.append(f"{g.format()}: closed-form extra state")
     return CheckReport(
         name="length-closed-form",

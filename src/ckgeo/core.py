@@ -83,6 +83,22 @@ def multiply(g: Element, h: Element) -> Element:
     )
 
 
+def right_neighbors(
+    g: tuple[int, int, int],
+) -> tuple[tuple[int, int, int], ...]:
+    """Keys of g·a, g·A, g·b, g·B (the order of ``LETTERS``) for a (k, m, n)
+    tuple, by plain tuple arithmetic.
+
+    The same twist as :func:`multiply`: a/A move n by ±1; b/B move m by ±1
+    when n is even and give (k±1, m∓1) when n is odd.  The per-state audit
+    checks call this instead of building an :class:`Element` per product.
+    """
+    k, m, n = g
+    if n & 1:
+        return (k, m, n + 1), (k, m, n - 1), (k + 1, m - 1, n), (k - 1, m + 1, n)
+    return (k, m, n + 1), (k, m, n - 1), (k, m + 1, n), (k, m - 1, n)
+
+
 def inverse(g: Element) -> Element:
     """Group inverse: multiply(g, inverse(g)) == IDENTITY."""
     p = g.n & 1

@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .core import Element, GENERATORS, evaluate, multiply
+from .core import Element, GENERATORS, evaluate, multiply, right_neighbors
 from .words import LETTERS, Word
 
 
@@ -92,11 +92,18 @@ def is_geodesic(w: Word) -> bool:
 
 def continuations(g: Element) -> str:
     """The letters that extend a geodesic to ``g`` by one: all s with
-    length(g·s) = length(g) + 1, in canonical order."""
-    base = length(g)
-    return "".join(
-        s for s in LETTERS if length(multiply(g, GENERATORS[s])) == base + 1
-    )
+    length(g·s) = length(g) + 1, in canonical order.
+
+    The four products g·s come from :func:`ckgeo.core.right_neighbors` as
+    plain tuples; each one's length is still the closed form, so the
+    dead-end audit cross-checks this function against the BFS per state.
+    """
+    up = length(g) + 1
+    out = ""
+    for s, h in zip(LETTERS, right_neighbors(g)):
+        if length(h) == up:
+            out += s
+    return out
 
 
 class RegionCase(enum.Enum):

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import IO, Hashable, Iterator, Mapping
 
 from . import kernels
-from .core import Element, GENERATORS, inverse, multiply
+from .core import Element, right_neighbors
 from .errors import BallBudgetError, GeodesicCapError
 from .geodesics import closed_ball_elements, length, std_rep
 from .models import GroupModel, get_model
@@ -63,7 +64,7 @@ class BallIndex:
 
     def states_sorted(self) -> list[tuple[Hashable, int]]:
         """(state, distance) pairs ordered by distance, then coordinates."""
-        return sorted(self.distances.items(), key=lambda kv: (kv[1], kv[0]))
+        return sorted(self.distances.items(), key=itemgetter(1, 0))
 
     def export_csv(self, fh: IO[str]) -> None:
         """Write one row per state, sorted, with a coordinate header."""
@@ -245,14 +246,19 @@ def audit_dead_ends(ball: BallIndex, *, deep: bool = False) -> AuditReport:
     A state at distance d < radius is a candidate when no generator step
     reaches distance d + 1 (interior states always have all four neighbours
     covered, so the conclusion is exact, not sampled).  For the central
-    extension the closed-form :func:`ckgeo.geodesics.is_dead_end` verdict is
-    cross-checked on every certified state; any disagreement between the two
-    routes is reported as a candidate.  ``deep`` also records, per level,
-    how many states have exactly one ascending neighbour (in ``notes``).
+    extension the four neighbour keys come from
+    :func:`ckgeo.core.right_neighbors` by tuple arithmetic, and the
+    closed-form :func:`ckgeo.geodesics.is_dead_end` verdict is cross-checked
+    on every certified state; any disagreement between the two routes is
+    reported as a candidate.  Other models step through ``model.step``.
+    ``deep`` also records, per level, how many states have exactly one
+    ascending neighbour (in ``notes``).
     """
     from .geodesics import is_dead_end
 
     model = get_model(ball.model)
+    ck = ball.model == "ck"
+    get = ball.distances.get
     horizon = ball.radius - 1
     candidates: list[str] = []
     checked = 0
@@ -261,15 +267,18 @@ def audit_dead_ends(ball: BallIndex, *, deep: bool = False) -> AuditReport:
         if d > horizon:
             continue
         checked += 1
+        if ck:
+            children = right_neighbors(state)
+        else:
+            state_obj = model.from_key(state)
+            children = [model.key(model.step(state_obj, s)) for s in LETTERS]
         ascending = 0
-        state_obj = model.from_key(state)
-        for letter in LETTERS:
-            child_key = model.key(model.step(state_obj, letter))
-            if ball.distances.get(child_key, -1) == d + 1:
+        for child_key in children:
+            if get(child_key, -1) == d + 1:
                 ascending += 1
         if ascending == 0:
             candidates.append(str(state))
-        elif ball.model == "ck" and is_dead_end(Element(*state)):
+        elif ck and is_dead_end(state):
             candidates.append(f"{state} (closed form disagrees)")
         if narrow_by_level is not None and ascending == 1:
             narrow_by_level[d] += 1
@@ -459,7 +468,8 @@ def check_continuation_rules(ball: BallIndex) -> CheckReport:
     is required of the named b-direction letter only, because the a
     direction genuinely shortens there (both a and a⁻¹ step toward the
     interior when n = 0 and k != 0).  The excluded (element, letter) pairs
-    are counted in ``notes`` so the carve-out stays visible.
+    are counted in ``notes`` so the carve-out stays visible.  Each state's
+    neighbours come from :func:`ckgeo.core.right_neighbors`, once per state.
     """
     if ball.model != "ck":
         raise ValueError("the continuation rule is specific to the ck model")
@@ -469,23 +479,26 @@ def check_continuation_rules(ball: BallIndex) -> CheckReport:
     checked = 0
     carved_out = 0
     horizon = ball.radius - 1
+    get = ball.distances.get
     for state, d in ball.states_sorted():
         if d > horizon:
             continue
-        g = Element(*state)
-        if g.m < 0 or g.n < 0:
+        _, m, n = state
+        if m < 0 or n < 0:
             continue
-        case = classify_region(g)
+        case = classify_region(state)
         if case is RegionCase.ZERO_K:
             continue
         checked += 1
+        children = right_neighbors(state)
         for s in continuation_rule_letters(case):
-            if g.n == 0 and s in "aA":
+            if n == 0 and s in "aA":
                 carved_out += 1
                 continue
-            h = multiply(g, GENERATORS[s])
-            if ball.distances.get((h.k, h.m, h.n), -1) != d + 1:
-                failures.append(f"{g.format()} [{case.value}]: letter {s!r}")
+            if get(children[LETTERS.index(s)], -1) != d + 1:
+                failures.append(
+                    f"{Element(*state).format()} [{case.value}]: letter {s!r}"
+                )
     return CheckReport(
         name="continuation-rules",
         checked=checked,
@@ -503,7 +516,9 @@ def check_last_letter(ball: BallIndex, *, max_distance: int | None = None) -> Ch
     For every element g with 1 <= distance <= max_distance, the set of
     letters that end some geodesic of g is computed twice: from BFS
     distances (s ends a geodesic iff dist(g·s⁻¹) = dist(g) − 1) and from the
-    closed-form length.  The two sets must be equal and nonempty.
+    closed-form length.  The two sets must be equal and nonempty.  g·s⁻¹ is
+    read off :func:`ckgeo.core.right_neighbors` as the neighbour by s⁻¹, and
+    ``length`` runs once per state and once per neighbour.
     """
     if ball.model != "ck":
         raise ValueError("the last-letter rule is specific to the ck model")
@@ -514,23 +529,24 @@ def check_last_letter(ball: BallIndex, *, max_distance: int | None = None) -> Ch
         )
     failures: list[str] = []
     checked = 0
+    get = ball.distances.get
     for state, d in ball.states_sorted():
         if d == 0 or d > horizon:
             continue
         checked += 1
-        g = Element(*state)
-        closed_shorter = length(g) - 1
+        closed_shorter = length(state) - 1
         oracle_set = ""
         closed_set = ""
-        for s in LETTERS:
-            h = multiply(g, inverse(GENERATORS[s]))
-            if ball.distances.get((h.k, h.m, h.n), -1) == d - 1:
+        # g·s⁻¹ is the neighbour by s⁻¹: g·A, g·a, g·B, g·b for s = a, A, b, B.
+        by_a, by_A, by_b, by_B = right_neighbors(state)
+        for s, h in (("a", by_A), ("A", by_a), ("b", by_B), ("B", by_b)):
+            if get(h, -1) == d - 1:
                 oracle_set += s
             if length(h) == closed_shorter:
                 closed_set += s
         if oracle_set != closed_set or not oracle_set:
             failures.append(
-                f"{g.format()}: oracle last letters {oracle_set!r},"
+                f"{Element(*state).format()}: oracle last letters {oracle_set!r},"
                 f" closed form {closed_set!r}"
             )
     return CheckReport(

@@ -92,6 +92,22 @@ class TestTheorem2:
         assert out == ""
         assert "geodesic_cap=100000" in err
 
+    def test_huge_element_fails_fast_without_the_exact_count(self, capsys, monkeypatch):
+        import math
+
+        def fail(*args, **kwargs):
+            raise AssertionError("expensive work started past the geodesic budget")
+
+        monkeypatch.setattr(math, "comb", fail)
+        monkeypatch.setattr(oracle, "build_ball", fail)
+        rc, out, err = run(capsys, "check-theorem2", "(1000000,1000000,1000000)")
+        assert rc == 3
+        assert out == ""
+        assert err == (
+            "error: (1000000,1000000,1000000) has more geodesics than"
+            " geodesic_cap=100000\n"
+        )
+
 
 class TestBall:
     def test_summary_line(self, capsys):
@@ -175,8 +191,9 @@ class TestAudit:
         assert out == ""
         assert "--negative-control" in err
 
-    # SHA-256 of the audit's stdout and its exit code, recorded before the
-    # audit's closed-form layer was rewritten; a change to any suite's
+    # SHA-256 of the audit's stdout and its exit code: r = 8 and 12 recorded
+    # before the audit's closed-form layer was rewritten, r = 16 before the
+    # per-state checks moved to tuple arithmetic; a change to any suite's
     # output shows here.
     @pytest.mark.parametrize(
         "model,radius,negative_control,code,digest",
@@ -191,6 +208,11 @@ class TestAudit:
             ("klein", 12, False, 0, "c7f3ff04aed066ada97dd1e64ff5dd76ed448da5b0d197fdd2e2c2022f09a2b9"),
             ("z2", 12, False, 0, "c6c72008604bae578e9b1fedbd325e401d3a32209e5f7a26a27949430745bbe5"),
             ("z2", 12, True, 5, "9e67c99c62e1c6e674f152f65837aeb1c087647424c4ae8af8f326751957761a"),
+            ("ck", 16, False, 0, "5bbb8b3b4fcfe26ce160091d5097478da8c020c2beefc88ab40e7fed88eedc41"),
+            ("ck", 16, True, 5, "5fefc3a875286dfb7e7e8f00a72d1de87d65fa09ef03ca0e53666469fe4bed18"),
+            ("klein", 16, False, 0, "6730833435d06eb22e88f031d432df8da9ce664e91a3cb082c5185cac0e591bc"),
+            ("z2", 16, False, 0, "b48c7d311250b6c5dd9b01ed367d386c3f4963b170ea07f2b7ce070c8b1bb8fc"),
+            ("z2", 16, True, 5, "b70024623bc285303aec03c5ec650a3296121b5f1957e5bcee9276d5183262f3"),
         ],
     )
     def test_golden_output(self, capsys, monkeypatch, model, radius, negative_control, code, digest):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ckgeo.core import (
     CENTRAL_ELEMENT,
@@ -19,6 +20,7 @@ from ckgeo.core import (
     normalize_quadrant,
     par,
     project_to_klein,
+    right_neighbors,
 )
 from ckgeo.errors import ParseError
 from ckgeo.words import LETTERS, apply_letter_map, word_inverse
@@ -120,6 +122,28 @@ class TestAlgebra:
         # Width 1, height 1 encloses one cell: the commutator lands on the
         # central generator squared-free part (1,-2,0) rather than identity.
         assert evaluate("ba" + "B" + "A") == Element(-1, 2, 0)
+
+
+def _neighbors_by_multiply(g):
+    return tuple(tuple(multiply(Element(*g), GENERATORS[s])) for s in LETTERS)
+
+
+class TestRightNeighbors:
+    def test_matches_multiply_on_box(self):
+        for k in range(-8, 9):
+            for m in range(-8, 9):
+                for n in range(-8, 9):
+                    g = (k, m, n)
+                    assert right_neighbors(g) == _neighbors_by_multiply(g), g
+
+    @given(*(st.integers(min_value=-10**6, max_value=10**6) for _ in range(3)))
+    def test_matches_multiply_far_out(self, k, m, n):
+        assert right_neighbors((k, m, n)) == _neighbors_by_multiply((k, m, n))
+
+    def test_accepts_elements_and_returns_plain_keys(self):
+        keys = right_neighbors(Element(0, 0, 1))
+        assert keys == ((0, 0, 2), (0, 0, 0), (1, -1, 1), (-1, 1, 1))
+        assert all(type(key) is tuple for key in keys)
 
 
 class TestLatticePath:

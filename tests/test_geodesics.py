@@ -141,6 +141,19 @@ class TestContinuations:
         assert continuations(Element(-1, 1, 0)) == "bB"
         assert continuations(IDENTITY) == "aAbB"
 
+    def test_matches_multiply_reference(self):
+        from ckgeo.core import GENERATORS, multiply
+
+        for k in range(-8, 9):
+            for m in range(-8, 9):
+                for n in range(-8, 9):
+                    g = Element(k, m, n)
+                    up = length(g) + 1
+                    expected = "".join(
+                        s for s in "aAbB" if length(multiply(g, GENERATORS[s])) == up
+                    )
+                    assert continuations(g) == expected, g
+
     def test_matches_length_increments(self, ball8):
         from ckgeo.models import CK
 

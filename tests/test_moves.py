@@ -246,6 +246,25 @@ class TestConnectivity:
         with pytest.raises(GeodesicCapError):
             check_theorem2(Element(-1, 3, 4), geodesic_cap=11)
 
+    @pytest.mark.parametrize("cap", [0, 1, 11, 10**5])
+    def test_capped_count_decides_like_the_exact_count(self, ball12, cap):
+        for key in ball12.distances:
+            g = Element(*key)
+            count = geodesic_count(g)
+            capped = moves._capped_geodesic_count(g, cap)
+            assert capped == min(count, cap + 1), (key, cap)
+            assert (capped > cap) == (count > cap), (key, cap)
+
+    def test_capped_count_skips_the_exact_count(self, monkeypatch):
+        import math
+
+        def fail(*args, **kwargs):
+            raise AssertionError("math.comb called for the cap check")
+
+        monkeypatch.setattr(math, "comb", fail)
+        assert moves._capped_geodesic_count(Element(10**6, 10**6, 10**6), 10**5) == 10**5 + 1
+        assert moves._capped_geodesic_count(Element(0, 10**6, 10**6), 0) == 1
+
     def test_report_serializes(self):
         d = check_theorem2(Element(1, 0, 0)).to_dict()
         json.dumps(d)

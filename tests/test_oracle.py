@@ -1,12 +1,23 @@
+import dataclasses
 import io
 
 import pytest
 
-from ckgeo.core import Element
+from ckgeo.core import GENERATORS, Element, inverse, multiply
 from ckgeo.errors import BallBudgetError, GeodesicCapError
-from ckgeo.geodesics import geodesic_count, length, std_rep
-from ckgeo.models import KLEIN
+from ckgeo.geodesics import (
+    RegionCase,
+    classify_region,
+    continuation_rule_letters,
+    geodesic_count,
+    is_dead_end,
+    length,
+    std_rep,
+)
+from ckgeo.models import KLEIN, get_model
 from ckgeo.oracle import (
+    AuditReport,
+    CheckReport,
     CkStandardWords,
     TruncatedLanguage,
     Z2StandardWords,
@@ -19,7 +30,7 @@ from ckgeo.oracle import (
     exact_length,
     expected_terminal_words,
 )
-from ckgeo.words import format_word, word_sort_key
+from ckgeo.words import LETTERS, format_word, word_sort_key
 
 
 class TestBuildBall:
@@ -265,3 +276,168 @@ class TestStatesSorted:
         dists = [d for _, d in rows]
         assert dists == sorted(dists)
         assert len(rows) == len(ball8)
+
+
+# References for the per-state checks: the multiply-based versions they
+# replaced, kept verbatim apart from the sort, which is the old lambda.
+
+
+def _rows(ball):
+    return sorted(ball.distances.items(), key=lambda kv: (kv[1], kv[0]))
+
+
+def _reference_dead_ends(ball, *, deep=False):
+    model = get_model(ball.model)
+    horizon = ball.radius - 1
+    candidates = []
+    checked = 0
+    narrow_by_level = [0] * (horizon + 1) if deep else None
+    for state, d in _rows(ball):
+        if d > horizon:
+            continue
+        checked += 1
+        ascending = 0
+        state_obj = model.from_key(state)
+        for letter in LETTERS:
+            child_key = model.key(model.step(state_obj, letter))
+            if ball.distances.get(child_key, -1) == d + 1:
+                ascending += 1
+        if ascending == 0:
+            candidates.append(str(state))
+        elif ball.model == "ck" and is_dead_end(Element(*state)):
+            candidates.append(f"{state} (closed form disagrees)")
+        if narrow_by_level is not None and ascending == 1:
+            narrow_by_level[d] += 1
+    notes = [f"states certified: {checked} (distance <= {horizon})"]
+    if narrow_by_level is not None:
+        notes.append(f"states with a unique ascent, by level: {narrow_by_level}")
+    return AuditReport(
+        model=ball.model,
+        radius=ball.radius,
+        standard_words_checked=checked,
+        geodesic_failures=(),
+        prefix_failures=(),
+        dead_end_candidates=tuple(candidates),
+        notes=tuple(notes),
+    )
+
+
+def _reference_continuation_rules(ball):
+    failures = []
+    checked = 0
+    carved_out = 0
+    horizon = ball.radius - 1
+    for state, d in _rows(ball):
+        if d > horizon:
+            continue
+        g = Element(*state)
+        if g.m < 0 or g.n < 0:
+            continue
+        case = classify_region(g)
+        if case is RegionCase.ZERO_K:
+            continue
+        checked += 1
+        for s in continuation_rule_letters(case):
+            if g.n == 0 and s in "aA":
+                carved_out += 1
+                continue
+            h = multiply(g, GENERATORS[s])
+            if ball.distances.get((h.k, h.m, h.n), -1) != d + 1:
+                failures.append(f"{g.format()} [{case.value}]: letter {s!r}")
+    return CheckReport(
+        name="continuation-rules",
+        checked=checked,
+        failures=tuple(failures),
+        notes=(
+            f"normalized elements with distance <= {horizon}",
+            f"a-direction pairs excluded at n = 0: {carved_out}",
+        ),
+    )
+
+
+def _reference_last_letter(ball, *, max_distance=None):
+    horizon = ball.radius - 1 if max_distance is None else max_distance
+    failures = []
+    checked = 0
+    for state, d in _rows(ball):
+        if d == 0 or d > horizon:
+            continue
+        checked += 1
+        g = Element(*state)
+        closed_shorter = length(g) - 1
+        oracle_set = ""
+        closed_set = ""
+        for s in LETTERS:
+            h = multiply(g, inverse(GENERATORS[s]))
+            if ball.distances.get((h.k, h.m, h.n), -1) == d - 1:
+                oracle_set += s
+            if length(h) == closed_shorter:
+                closed_set += s
+        if oracle_set != closed_set or not oracle_set:
+            failures.append(
+                f"{g.format()}: oracle last letters {oracle_set!r},"
+                f" closed form {closed_set!r}"
+            )
+    return CheckReport(
+        name="last-letter",
+        checked=checked,
+        failures=tuple(failures),
+        notes=(f"elements with 1 <= distance <= {horizon}",),
+    )
+
+
+def _tampered(ball, key, delta):
+    """The ball with one state's distance shifted by ``delta``."""
+    distances = dict(ball.distances)
+    distances[key] += delta
+    return dataclasses.replace(ball, distances=distances)
+
+
+# Shifts that make all three checks report failures on both radii.
+TAMPERS = [((1, 0, 0), 1), ((1, 0, 0), -1), ((-1, 2, 3), 1), ((2, 1, 2), -1), ((1, 1, 1), 1)]
+
+
+class TestPerStateChecksMatchReferences:
+    @pytest.fixture(scope="class", params=[8, 12])
+    def ball(self, request, ball8, ball12):
+        return {8: ball8, 12: ball12}[request.param]
+
+    @pytest.fixture(scope="class", params=[None] + TAMPERS, ids=str)
+    def balls(self, request, ball):
+        if request.param is None:
+            return ball, False
+        return _tampered(ball, *request.param), True
+
+    def test_dead_ends(self, balls):
+        ball, tampered = balls
+        for deep in (False, True):
+            rep = audit_dead_ends(ball, deep=deep)
+            assert rep.to_dict() == _reference_dead_ends(ball, deep=deep).to_dict()
+            assert bool(rep.dead_end_candidates) == tampered
+
+    def test_continuation_rules(self, balls):
+        ball, tampered = balls
+        rep = check_continuation_rules(ball)
+        assert rep.to_dict() == _reference_continuation_rules(ball).to_dict()
+        assert bool(rep.failures) == tampered
+
+    def test_last_letter(self, balls):
+        ball, tampered = balls
+        rep = check_last_letter(ball)
+        assert rep.to_dict() == _reference_last_letter(ball).to_dict()
+        assert bool(rep.failures) == tampered
+        for horizon in (0, 1, 5, ball.radius - 1):
+            rep = check_last_letter(ball, max_distance=horizon)
+            ref = _reference_last_letter(ball, max_distance=horizon)
+            assert rep.to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("name", ["klein", "z2"])
+    def test_dead_ends_other_models(self, name):
+        ball = build_ball(name, 8)
+        tampered = _tampered(ball, (1, 2), 1)
+        for b in (ball, tampered):
+            for deep in (False, True):
+                assert audit_dead_ends(b, deep=deep).to_dict() == (
+                    _reference_dead_ends(b, deep=deep).to_dict()
+                )
+        assert audit_dead_ends(tampered).dead_end_candidates
