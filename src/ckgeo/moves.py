@@ -8,8 +8,12 @@ point of truth; generation only skips candidates that provably fail it.
 Detowering works out the element shift of each a-letter shift from the
 column parity alone and builds just the pairs whose shifts cancel and whose
 b-run lengths add up to the source length; clipping pairs only
-transpositions with cancelling area shifts.  Each family evaluates the
-source once and compares every candidate against that element.
+transpositions with cancelling area shifts.
+
+Elements are looked up in a ``memo`` that maps a word to ``evaluate(word)``.
+The memo is a pure function of the word, so one dict may serve any number of
+sources and elements; :func:`orbit` shares one across its walk, where every
+orbit word is the target of many edges but is evaluated once.
 
 * EVEN_CASTLING — slide one b-letter across a doubled a-letter (x x y ↔ y x x
   for x ∈ {a, a⁻¹}, y ∈ {b, b⁻¹});
@@ -26,6 +30,7 @@ from the target), so the induced orbit relation is symmetric.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import Element, evaluate, is_normalized
@@ -58,16 +63,29 @@ class MoveEdge:
         }
 
 
+def _element(w: Word, memo: dict[Word, Element]) -> Element:
+    """``evaluate(w)``, computed at most once per memo."""
+    g = memo.get(w)
+    if g is None:
+        g = memo[w] = evaluate(w)
+    return g
+
+
 def _validated(
-    w: Word, cand: Word, kind: MoveKind, site: str, g: Element
+    w: Word,
+    cand: Word,
+    kind: MoveKind,
+    site: str,
+    g: Element,
+    memo: dict[Word, Element],
 ) -> MoveEdge | None:
     """Admit a candidate only if it preserves length, reducedness, and the
-    element ``g == evaluate(w)``."""
+    element ``g == evaluate(w)``; a candidate's element comes from ``memo``."""
     if cand == w or len(cand) != len(w):
         return None
     if not is_reduced(cand):
         return None
-    if evaluate(cand) != g:
+    if _element(cand, memo) != g:
         return None
     return MoveEdge(source=w, target=cand, kind=kind, site=site)
 
@@ -108,9 +126,13 @@ def _b_run(signed: int) -> str:
     return "b" * signed if signed >= 0 else "B" * (-signed)
 
 
-def castling_neighbors(w: Word) -> list[MoveEdge]:
+def castling_neighbors(
+    w: Word, *, memo: dict[Word, Element] | None = None
+) -> list[MoveEdge]:
     """Slide a b-letter across a doubled a-letter: x x y ↔ y x x."""
-    g = evaluate(w)
+    if memo is None:
+        memo = {}
+    g = _element(w, memo)
     edges = []
     for i in range(len(w) - 2):
         x1, x2, x3 = w[i], w[i + 1], w[i + 2]
@@ -120,13 +142,15 @@ def castling_neighbors(w: Word) -> list[MoveEdge]:
         elif x2 == x3 and x2 in "aA" and x1 in "bB":
             cand = w[:i] + x2 + x3 + x1 + w[i + 3 :]
         if cand is not None:
-            edge = _validated(w, cand, MoveKind.EVEN_CASTLING, f"@{i}", g)
+            edge = _validated(w, cand, MoveKind.EVEN_CASTLING, f"@{i}", g, memo)
             if edge is not None:
                 edges.append(edge)
     return edges
 
 
-def detowering_neighbors(w: Word) -> list[MoveEdge]:
+def detowering_neighbors(
+    w: Word, *, memo: dict[Word, Element] | None = None
+) -> list[MoveEdge]:
     """Shift two distinct a-letters across one adjacent b-step each.
 
     Shifting a-letter i by d moves d signed b-steps from the run after it to
@@ -137,12 +161,23 @@ def detowering_neighbors(w: Word) -> list[MoveEdge]:
     candidate has len(axes) + Σ|gaps| letters, so a pair that changes the
     length is dropped from the ≤ 4 gaps it touches, before any string is
     built.  Candidates come in the order (i, j, d_i), i < j, d_i = −1 first.
+
+    Partners are found without scanning every pair.  Adjacent letters sit in
+    columns of opposite parity, so j = i + 1 always has d_j = d_i: the
+    shared gap i + 1 keeps its run, and the pair moves a b-step from gap
+    i + 2 to gap i.  Shifts of letters further apart touch disjoint gaps, so
+    their length changes add: the partners of (i, d_i) are the j ≥ i + 2
+    with d_j·σ_j = −d_i·σ_i whose own change makes up the rest of the
+    slack.  Every shift is bucketed by (d_j·σ_j, grow_j(d_j)), so each
+    (i, d_i) finds its partners in one bucket.
     """
     gaps, axes = _gaps_axes(w)
     p = len(axes)
     if p < 2:
         return []
-    g = evaluate(w)
+    if memo is None:
+        memo = {}
+    g = _element(w, memo)
     # The length change a surviving pair must make.
     slack = len(w) - p - sum(map(abs, gaps))
     sigma = []
@@ -158,38 +193,40 @@ def detowering_neighbors(w: Word) -> list[MoveEdge]:
         }
         for i in range(p)
     ]
+    # (d_j·σ_j, grow[j][d_j]) -> every such (j, d_j), ascending.
+    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for j in range(p):
+        for d in (-1, 1):
+            buckets.setdefault((d * sigma[j], grow[j][d]), []).append((j, d))
     edges = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            flip = sigma[i] * sigma[j]
-            for di in (-1, 1):
-                dj = -di * flip
-                if j == i + 1:
-                    # The two shifts share gap j.
-                    before, shared, after = gaps[i], gaps[j], gaps[j + 1]
-                    change = (
-                        abs(before + di) - abs(before)
-                        + abs(shared - di + dj) - abs(shared)
-                        + abs(after - dj) - abs(after)
-                    )
-                else:
-                    change = grow[i][di] + grow[j][dj]
-                if change != slack:
-                    continue
-                new_gaps = list(gaps)
-                new_gaps[i] += di
-                new_gaps[i + 1] -= di
-                new_gaps[j] += dj
-                new_gaps[j + 1] -= dj
-                edge = _validated(
-                    w,
-                    _build(new_gaps, axes),
-                    MoveKind.DETOWERING,
-                    f"a{i}{'+' if di > 0 else '-'}|a{j}{'+' if dj > 0 else '-'}",
-                    g,
-                )
-                if edge is not None:
-                    edges.append(edge)
+    for i in range(p - 1):
+        # (j, d_i, d_j) of every pair whose length change is the slack.
+        pairs = []
+        before, after = gaps[i], gaps[i + 2]
+        for di in (-1, 1):
+            if abs(before + di) - abs(before) + abs(after - di) - abs(after) == slack:
+                pairs.append((i + 1, di, di))
+            partners = buckets.get((-di * sigma[i], slack - grow[i][di]))
+            if partners:
+                first = bisect_right(partners, (i + 1, 1))
+                pairs.extend((j, di, dj) for j, dj in partners[first:])
+        pairs.sort()
+        for j, di, dj in pairs:
+            new_gaps = list(gaps)
+            new_gaps[i] += di
+            new_gaps[i + 1] -= di
+            new_gaps[j] += dj
+            new_gaps[j + 1] -= dj
+            edge = _validated(
+                w,
+                _build(new_gaps, axes),
+                MoveKind.DETOWERING,
+                f"a{i}{'+' if di > 0 else '-'}|a{j}{'+' if dj > 0 else '-'}",
+                g,
+                memo,
+            )
+            if edge is not None:
+                edges.append(edge)
     return edges
 
 
@@ -216,9 +253,13 @@ def _transposition_sites(w: Word) -> list[tuple[int, int, Word]]:
     return sites
 
 
-def clipping_neighbors(w: Word) -> list[MoveEdge]:
+def clipping_neighbors(
+    w: Word, *, memo: dict[Word, Element] | None = None
+) -> list[MoveEdge]:
     """Relocate boundary cells: cancelling transposition pairs + reflections."""
-    g = evaluate(w)
+    if memo is None:
+        memo = {}
+    g = _element(w, memo)
     edges = []
     sites = _transposition_sites(w)
     for s1 in range(len(sites)):
@@ -232,7 +273,7 @@ def clipping_neighbors(w: Word) -> list[MoveEdge]:
             cand = (
                 w[:i1] + window1 + w[i1 + 2 : i2] + window2 + w[i2 + 2 :]
             )
-            edge = _validated(w, cand, MoveKind.CLIPPING, f"@{i1}+@{i2}", g)
+            edge = _validated(w, cand, MoveKind.CLIPPING, f"@{i1}+@{i2}", g, memo)
             if edge is not None:
                 edges.append(edge)
     gaps, axes = _gaps_axes(w)
@@ -241,23 +282,28 @@ def clipping_neighbors(w: Word) -> list[MoveEdge]:
             new_axes = list(axes)
             new_axes[i], new_axes[i + 1] = new_axes[i + 1], new_axes[i]
             cand = _build(gaps, new_axes)
-            edge = _validated(w, cand, MoveKind.CLIPPING, f"reflect@a{i}", g)
+            edge = _validated(w, cand, MoveKind.CLIPPING, f"reflect@a{i}", g, memo)
             if edge is not None:
                 edges.append(edge)
     return edges
 
 
-def neighbors(w: Word) -> list[MoveEdge]:
-    """All validated moves from ``w``, deduplicated and canonically ordered."""
-    seen = set()
-    out = []
-    for edge in (
-        castling_neighbors(w) + detowering_neighbors(w) + clipping_neighbors(w)
-    ):
-        key = (edge.target, edge.kind, edge.site)
-        if key not in seen:
-            seen.add(key)
-            out.append(edge)
+def neighbors(w: Word, *, memo: dict[Word, Element] | None = None) -> list[MoveEdge]:
+    """All validated moves from ``w``, canonically ordered.
+
+    Edges are sorted by (target, kind, site).  No two edges share that key:
+    a family never repeats a site (castling names one window, detowering one
+    pair of shifts, clipping one pair of windows or one reflection), and the
+    families have different kinds.  So the order is total and no edge needs
+    to be dropped as a duplicate.  ``memo`` is passed on to the families.
+    """
+    if memo is None:
+        memo = {}
+    out = (
+        castling_neighbors(w, memo=memo)
+        + detowering_neighbors(w, memo=memo)
+        + clipping_neighbors(w, memo=memo)
+    )
     out.sort(key=lambda e: (word_sort_key(e.target), e.kind.value, e.site))
     return out
 
@@ -273,13 +319,18 @@ def orbit(
     :func:`neighbors` once on every orbit word; when ``edges`` is a list,
     every edge it validates is appended to it, in walk order, so a completed
     walk leaves there each orbit word's full neighbor list exactly once.
+
+    One memo of ``evaluate`` (see the module docstring) serves the whole
+    walk: an orbit word is evaluated when it is first met as a candidate,
+    and every later edge into it, and its own turn as a source, reuse that.
     """
+    memo: dict[Word, Element] = {}
     seen = {w}
     frontier = [w]
     while frontier:
         nxt = []
         for u in frontier:
-            found = neighbors(u)
+            found = neighbors(u, memo=memo)
             if edges is not None:
                 edges.extend(found)
             for edge in found:
@@ -396,10 +447,12 @@ def check_theorem2(
     orb_set = set(orb)
     missing = tuple(sorted(geo_set - orb_set, key=word_sort_key))
     extra = tuple(sorted(orb_set - geo_set, key=word_sort_key))
-    # Every edge joins two orbit words, so their word_sort_key ranks among
-    # the orbit order edges exactly as the keys themselves would.
+    # The walk leaves each source's edges together, sorted by (target, kind,
+    # site), and every target is an orbit word, so a stable sort by the
+    # source's word_sort_key rank orders edges by (source, target, kind,
+    # site).
     rank = {u: i for i, u in enumerate(sorted(orb, key=word_sort_key))}
-    edges.sort(key=lambda e: (rank[e.source], rank[e.target], e.kind.value, e.site))
+    edges.sort(key=lambda e: rank[e.source])
     return ConnectivityReport(
         element=g,
         length=total,

@@ -450,8 +450,11 @@ def expected_terminal_words(max_length: int) -> frozenset[str]:
     a-direction letter that no longer standard word retains, so they are
     never proper prefixes of other standard words.  The language audit's
     prefix failures on a radius-R ball are expected to equal this set at
-    max_length = R − 1; anything else is a real defect.
+    max_length = R − 1; anything else is a real defect.  A negative
+    max_length (the radius-0 audit) has no such words.
     """
+    if max_length < 0:
+        return frozenset()
     return frozenset(
         format_word(std_rep(g))
         for g in closed_ball_elements(max_length)

@@ -148,13 +148,16 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
-def is_reduced(w: Word) -> bool:
-    """True iff no adjacent pair of letters cancels."""
-    return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
-
-
 _DELETE_LETTERS = str.maketrans("", "", LETTERS)
 _CANCELLING_PAIR = re.compile("aA|Aa|bB|Bb")
+
+
+def is_reduced(w: Word) -> bool:
+    """True iff no adjacent pair of characters cancels (one is the other's
+    case swap).  A word of letters only is answered by one regex scan."""
+    if not w.translate(_DELETE_LETTERS):
+        return _CANCELLING_PAIR.search(w) is None
+    return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
 
 
 def free_reduce(w: Word) -> Word:

@@ -168,6 +168,14 @@ class TestAudit:
             assert rc == 0
             assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("model", ["ck", "klein", "z2"])
+    def test_radius_zero_passes(self, capsys, model):
+        # The ball is the identity alone; no terminal standard words are
+        # expected below length 0.
+        rc, out, err = run(capsys, "audit", "--model", model, "--radius", "0")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["verdict"] == "pass"
+
     def test_negative_control_fails(self, capsys):
         rc, out, _ = run(capsys, "audit", "--model", "ck", "--radius", "6", "--negative-control")
         assert rc == 5

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -20,6 +21,7 @@ from ckgeo.moves import (
     young_recompose,
     young_rectangle,
 )
+from ckgeo.oracle import build_ball
 from ckgeo.words import cyclic_shifts, format_word, is_reduced, word_sort_key
 
 SEED = 58
@@ -34,6 +36,7 @@ def _exhaustive_detowering(w):
     each built and checked against the source's length and element."""
     gaps, axes = moves._gaps_axes(w)
     p = len(axes)
+    g = evaluate(w)
     edges = []
     for i in range(p):
         for j in range(i + 1, p):
@@ -46,12 +49,16 @@ def _exhaustive_detowering(w):
                     new_gaps[i + 1] -= di
                     new_gaps[j] += dj
                     new_gaps[j + 1] -= dj
+                    # _build spells len(axes) + sum(|gaps|) letters; skipping
+                    # the other lengths before building keeps long words cheap.
+                    if p + sum(map(abs, new_gaps)) != len(w):
+                        continue
                     cand = moves._build(new_gaps, axes)
                     if (
                         cand != w
                         and len(cand) == len(w)
                         and is_reduced(cand)
-                        and evaluate(cand) == evaluate(w)
+                        and evaluate(cand) == g
                     ):
                         site = f"a{i}{'+' if di >= 0 else '-'}|a{j}{'+' if dj >= 0 else '-'}"
                         edges.append(MoveEdge(w, cand, MoveKind.DETOWERING, site))
@@ -64,6 +71,36 @@ def _reference_neighbors(w):
     for e in castling_neighbors(w) + _exhaustive_detowering(w) + clipping_neighbors(w):
         out.setdefault((e.target, e.kind, e.site), e)
     return sorted(out.values(), key=lambda e: (word_sort_key(e.target), e.kind.value, e.site))
+
+
+def _random_word(rng, low, high, reduced=False):
+    """A random word of low..high letters; with ``reduced``, freely reduced
+    (then every b-run is pure)."""
+    out = []
+    for _ in range(rng.randint(low, high)):
+        choices = [c for c in "aAbB" if not (reduced and out and out[-1] == c.swapcase())]
+        out.append(rng.choice(choices))
+    return "".join(out)
+
+
+def _reference_orbit(w):
+    """The breadth-first walk of orbit(), with no memo shared between
+    neighbor calls and with the exhaustive detowering.  Returns the sorted
+    words and every edge in walk order."""
+    seen = {w}
+    frontier = [w]
+    edges = []
+    while frontier:
+        nxt = []
+        for u in frontier:
+            found = _reference_neighbors(u)
+            edges.extend(found)
+            for e in found:
+                if e.target not in seen:
+                    seen.add(e.target)
+                    nxt.append(e.target)
+        frontier = sorted(nxt, key=word_sort_key)
+    return sorted(seen, key=format_word), edges
 
 
 class TestCastling:
@@ -123,6 +160,28 @@ class TestDetowering:
             w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 11)))
             assert detowering_neighbors(w) == _exhaustive_detowering(w), w
 
+    def test_pruning_matches_exhaustive_search_on_long_a_heavy_words(self):
+        # Standard words of 24..60 a-letters, whose shifts fill many
+        # buckets.
+        rng = random.Random(SEED)
+        pool = [
+            Element(k, m, n)
+            for k in range(-2, 3)
+            for m in range(-2, 3)
+            for n in (*range(-60, -23), *range(24, 61))
+        ]
+        for g in rng.sample(pool, 16) + [Element(2, -2, 60), Element(0, 0, 24)]:
+            w = std_rep(g)
+            assert detowering_neighbors(w) == _exhaustive_detowering(w), g
+
+    def test_pruning_matches_exhaustive_search_on_long_random_words(self):
+        # Half freely reduced (pure b-runs, slack 0), half arbitrary
+        # (mixed b-runs, nonzero slack).
+        rng = random.Random(SEED)
+        for index in range(300):
+            w = _random_word(rng, 20, 60, reduced=index % 2 == 0)
+            assert detowering_neighbors(w) == _exhaustive_detowering(w), w
+
 
 class TestClipping:
     def test_frozen_pair_move(self):
@@ -163,6 +222,23 @@ class TestNeighbors:
                 assert evaluate(e.target) == evaluate(w)
                 assert len(e.target) == len(w)
                 assert is_geodesic(e.target)
+
+    def test_shared_memo_matches_fresh_calls(self, ball8):
+        # One memo across many elements and all three families: the memo maps
+        # a word to its element, so no entry can leak between sources.
+        from ckgeo.oracle import enumerate_geodesics
+
+        rng = random.Random(SEED)
+        keys = rng.sample(sorted(ball8.distances), 40)
+        words = [w for key in keys for w in enumerate_geodesics(ball8, Element(*key))]
+        words += [_random_word(rng, 0, 14) for _ in range(100)]
+        assert len({evaluate(w) for w in words}) > 40
+        memo = {}
+        for w in words:
+            assert neighbors(w, memo=memo) == neighbors(w), w
+            for family in (castling_neighbors, detowering_neighbors, clipping_neighbors):
+                assert family(w, memo=memo) == family(w), (family.__name__, w)
+        assert memo and all(evaluate(u) == g for u, g in memo.items())
 
     def test_edge_to_dict(self):
         e = neighbors("bbabbA")[0]
@@ -206,6 +282,62 @@ class TestOrbit:
         )
 
 
+    def test_matches_memo_free_reference_walk(self, ball12):
+        rng = random.Random(SEED)
+        keys = rng.sample(sorted(ball12.distances), 40)
+        for g in [Element(*key) for key in keys] + [Element(-4, 2, 4), Element(3, 0, 0)]:
+            w = std_rep(g)
+            edges = []
+            words = orbit(w, edges=edges)
+            assert (words, edges) == _reference_orbit(w), g
+
+
+# The seed elements of the orbit-long benchmark workload at seeds 1-3.
+_ORBIT_LONG_ELEMENTS = [
+    (0, 0, -25), (0, 0, -27), (0, 0, 29), (0, 0, -31), (0, 0, 33), (0, 0, 35),
+    (0, 0, 37), (0, 0, 39), (0, 0, -41), (0, 0, -43), (0, 0, 46), (0, 0, -48),
+    (0, 1, 25), (0, 1, 27), (0, -1, -29), (0, 1, 31), (1, -1, -25), (-1, 1, 27),
+    (-1, 1, -29), (1, -1, -31), (0, 0, -29), (0, 0, 31), (0, 0, -33), (0, 0, -39),
+    (0, 0, 48), (0, 1, -25), (0, 1, -29), (0, -1, -31), (-1, 1, -25), (1, -1, -27),
+    (1, -1, 29), (0, 0, -35), (0, -1, 27), (0, -1, 29), (0, -1, 31), (1, -1, 25),
+    (-1, 1, -27), (-1, 1, 31),
+]
+
+
+class TestGoldenDigests:
+    """SHA-256 of move-engine outputs, recorded before each orbit walk shared
+    one memo of evaluate and detowering bucketed its partners; a change to
+    any edge, site, order or orbit shows here."""
+
+    def test_check_theorem2_on_radius_9_ball(self):
+        ball = build_ball("ck", 9)
+        digest = hashlib.sha256()
+        for key in sorted(ball.distances):
+            report = check_theorem2(Element(*key), ball=ball)
+            digest.update(json.dumps(report.to_dict()).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "daa5bbfeab2aa21044b5e72e7d4d13a3b1c5f2ef479ffb01cd338349023d61cb"
+        )
+
+    def test_orbit_of_long_standard_words(self):
+        digest = hashlib.sha256()
+        for key in _ORBIT_LONG_ELEMENTS:
+            digest.update("\n".join(orbit(std_rep(Element(*key)))).encode() + b"\n\n")
+        assert digest.hexdigest() == (
+            "86b9c3ac2a395fe4631ae748c43e0a599b3bf844e83a32ebefba47b16b1d97a5"
+        )
+
+    def test_neighbors_of_random_words(self):
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        for _ in range(3000):
+            w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 14)))
+            digest.update(json.dumps([e.to_dict() for e in neighbors(w)]).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "7f4412ef783478cc0d4769da6e7c2506ee6f77bb128b53d76e642a3e4a7518e3"
+        )
+
+
 class TestConnectivity:
     def test_central_example(self):
         rep = check_theorem2(Element(2, 0, 0))
@@ -226,9 +358,9 @@ class TestConnectivity:
         calls = []
         real = moves.neighbors
 
-        def counted(w):
+        def counted(w, **kwargs):
             calls.append(w)
-            return real(w)
+            return real(w, **kwargs)
 
         monkeypatch.setattr(moves, "neighbors", counted)
         rep = check_theorem2(Element(-1, 3, 4))

@@ -214,6 +214,10 @@ class TestExpectedTerminalWords:
     def test_monotone_in_length(self):
         assert expected_terminal_words(4) < expected_terminal_words(8)
 
+    def test_empty_below_length_zero(self):
+        assert expected_terminal_words(-1) == frozenset()
+        assert expected_terminal_words(0) == frozenset()
+
 
 class TestLetterAndRuleChecks:
     def test_last_letter(self, ball8):

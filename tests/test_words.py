@@ -103,6 +103,19 @@ class TestReduce:
         assert not is_reduced("abBa")
         assert is_reduced("")
 
+    def test_is_reduced_on_non_letters(self):
+        # A non-letter next to its case swap cancels like a letter pair.
+        assert not is_reduced("xX")
+        assert not is_reduced("abxXab")
+        assert is_reduced("axb")
+        assert not is_reduced("axbB")
+
+    # Letters, their case swaps and other characters, so the regex path for
+    # letter-only words and the loop for the rest both run.
+    @given(words_st | st.text(alphabet=LETTERS + "xXyY1 ", max_size=40) | st.text(max_size=20))
+    def test_is_reduced_matches_pairwise_loop(self, w):
+        assert is_reduced(w) == all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
+
     @given(words_st)
     def test_reduce_is_idempotent(self, w):
         r = free_reduce(w)
