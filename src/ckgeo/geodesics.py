@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .core import Element, GENERATORS, evaluate, multiply, right_neighbors
+from .core import Element, evaluate, right_neighbors
 from .words import LETTERS, Word
 
 
@@ -115,11 +115,10 @@ class RegionCase(enum.Enum):
     NEG_K_SMALL_ODD = "neg_k_small_odd"  # k < 0, |k| <= m, n odd
     POS_K = "pos_k"  # k > 0
     ZERO_K = "zero_k"  # k = 0
-    UNNORMALIZED = "unnormalized"  # never returned; see classify_region
 
 
 def classify_region(g: Element) -> RegionCase:
-    """Classify after internal normalization (never returns UNNORMALIZED).
+    """Classify after internal normalization.
 
     Normalizes inline; only k and m need it, as the n-flip keeps the parity
     of n.
@@ -162,30 +161,16 @@ def is_dead_end(g: Element) -> bool:
     return continuations(g) == ""
 
 
-def depth(g: Element, *, cap: int = 64) -> int:
-    """Dead-end depth: 0 for elements with a continuation; otherwise the
-    largest j such that every product of at most j letters stays at length
-    <= length(g).  ``cap`` bounds the search (a guard; the group has no dead
-    ends, so the search branch is never expected to run)."""
-    if not is_dead_end(g):
-        return 0
-    base = length(g)
-    frontier = {g}
-    seen = {g}
-    for j in range(1, cap + 1):
-        nxt: set[Element] = set()
-        for h in frontier:
-            for s in GENERATORS.values():
-                hs = multiply(h, s)
-                if hs in seen:
-                    continue
-                if length(hs) > base:
-                    return j - 1
-                seen.add(hs)
-                if length(hs) <= base:
-                    nxt.add(hs)
-        frontier = nxt
-    raise RuntimeError(f"depth search exceeded cap={cap} at {g}")
+def depth(g: Element) -> int:
+    """Dead-end depth: 0, since every element has a continuation.
+
+    The group has no dead ends (the dead-end audit certifies this on every
+    ball it builds), so an element without one means the closed forms are
+    wrong, and that raises RuntimeError.
+    """
+    if is_dead_end(g):
+        raise RuntimeError(f"{g} has no continuation; the group has no dead ends")
+    return 0
 
 
 def geodesic_count(g: Element) -> int:

@@ -37,8 +37,9 @@ class BallIndex:
     ``distances`` is keyed by the model's canonical state keys (coordinate
     tuples).  ``frontier_sizes[d]`` is the number of states at distance
     exactly d, so ``frontier_sizes[0] == 1`` and the sizes sum to
-    ``len(distances)``.  ``backend`` records which kernel built the index
-    (``pure``, ``compiled``, or ``generic`` for the model-agnostic BFS).
+    ``len(distances)``.  ``backend`` records which BFS built the index
+    (``pure`` for the specialized kernel, ``generic`` for the model-agnostic
+    BFS).
     """
 
     model: str
@@ -129,8 +130,8 @@ def build_ball(
 ) -> BallIndex:
     """Build the radius-``radius`` ball of a model.
 
-    Uses the specialized kernel for the built-in models (compiled when
-    available) unless ``force_generic`` asks for the model-agnostic BFS.
+    Uses the specialized kernel for the built-in models unless
+    ``force_generic`` asks for the model-agnostic BFS.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -167,9 +168,8 @@ def enumerate_geodesics(
 ) -> list[Word]:
     """All geodesic words for a covered state, canonically sorted.
 
-    For the central extension the selected kernel enumerates level by level
-    over the geodesic interval (the pure twin; the compiled twin walks every
-    prefix); other models use a generic right-peeling walk.
+    For the central extension the kernel enumerates level by level over the
+    geodesic interval; other models use a generic right-peeling walk.
     Raises :class:`GeodesicCapError` when more than ``cap`` words exist.
     """
     state = _as_state_key(ball, g)
@@ -525,6 +525,8 @@ def check_last_letter(ball: BallIndex, *, max_distance: int | None = None) -> Ch
     """
     if ball.model != "ck":
         raise ValueError("the last-letter rule is specific to the ck model")
+    if max_distance is not None and max_distance < 1:
+        raise ValueError(f"max_distance must be >= 1, got {max_distance}")
     horizon = ball.radius - 1 if max_distance is None else max_distance
     if horizon > ball.radius - 1:
         raise ValueError(

@@ -54,14 +54,6 @@ def letter_base(c: Letter) -> str:
         raise ValueError(f"not a letter: {c!r}") from None
 
 
-def letter_rank(c: Letter) -> int:
-    """Position in the canonical order ``a < A < b < B``."""
-    try:
-        return _RANK[c]
-    except KeyError:
-        raise ValueError(f"not a letter: {c!r}") from None
-
-
 #: Letters as digits that compare in canonical order, so a translated word
 #: compares like its tuple of letter ranks.
 _RANK_DIGITS = str.maketrans(LETTERS, "0123")

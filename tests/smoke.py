@@ -1,8 +1,7 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs three commands through ``ckgeo.cli.main`` on the pure backend and
-checks each exit code and the SHA-256 of its stdout.  From the root of a
-checkout::
+Runs three commands through ``ckgeo.cli.main`` and checks each exit code
+and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python tests/smoke.py
 
@@ -14,13 +13,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import os
 import sys
 
-# The audit report names the kernel backend; the digests are of the pure one.
-os.environ["CKGEO_PURE"] = "1"
-
-from ckgeo import cli  # noqa: E402
+from ckgeo import cli
 
 # (argv, exit code, SHA-256 of stdout).  The audit digest is the r = 12 one
 # that tests/test_cli.py pins; the other two were recorded with it.

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ckgeo import cli, kernels, oracle
+from ckgeo import cli, oracle
 from ckgeo.cli import main
 from ckgeo.errors import BallBudgetError
 from ckgeo.oracle import build_ball
@@ -114,7 +114,7 @@ class TestBall:
         rc, out, _ = run(capsys, "ball", "1")
         assert rc == 0
         line = out.strip()
-        assert line.startswith("model=ck radius=1 states=5 levels=1,4 backend=")
+        assert line == "model=ck radius=1 states=5 levels=1,4 backend=pure"
 
     def test_csv_export(self, capsys):
         rc, out, _ = run(capsys, "ball", "1", "--export", "csv")
@@ -223,11 +223,7 @@ class TestAudit:
             ("z2", 16, True, 5, "b70024623bc285303aec03c5ec650a3296121b5f1957e5bcee9276d5183262f3"),
         ],
     )
-    def test_golden_output(self, capsys, monkeypatch, model, radius, negative_control, code, digest):
-        # The digests were taken with the pure backend; both backends build
-        # the same balls, and the report's backend field is the only
-        # difference between them.
-        monkeypatch.setattr(kernels, "BACKEND", "pure")
+    def test_golden_output(self, capsys, model, radius, negative_control, code, digest):
         argv = ["audit", "--model", model, "--radius", str(radius)]
         if negative_control:
             argv.append("--negative-control")

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ckgeo import geodesics
 from ckgeo.core import IDENTITY, Element, evaluate, normalize_quadrant
 from ckgeo.geodesics import (
     RULE_LETTERS,
@@ -128,11 +129,9 @@ class TestRegions:
         assert continuation_rule_letters(RegionCase.POS_K) == "ab"
         assert continuation_rule_letters(RegionCase.NEG_K_DOMINANT) == "aB"
         assert continuation_rule_letters(RegionCase.ZERO_K) == ""
-        with pytest.raises(ValueError):
-            continuation_rule_letters(RegionCase.UNNORMALIZED)
 
     def test_rule_letters_cover_all_usable_cases(self):
-        assert set(RULE_LETTERS) == set(RegionCase) - {RegionCase.UNNORMALIZED}
+        assert set(RULE_LETTERS) == set(RegionCase)
 
 
 class TestContinuations:
@@ -207,6 +206,12 @@ class TestDeadEnds:
         for g in closed_ball_elements(6):
             assert not is_dead_end(g)
             assert depth(g) == 0
+
+    def test_depth_refuses_a_dead_end(self, monkeypatch):
+        # No element is a dead end, so fake one: depth must raise, not search.
+        monkeypatch.setattr(geodesics, "continuations", lambda g: "")
+        with pytest.raises(RuntimeError, match="no continuation"):
+            depth(Element(2, 1, 3))
 
 
 class TestGeodesicCount:

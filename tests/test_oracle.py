@@ -226,8 +226,10 @@ class TestLetterAndRuleChecks:
         assert rep.checked == sum(ball8.frontier_sizes[1:8])
 
     def test_last_letter_horizon_guard(self, ball8):
-        with pytest.raises(ValueError):
-            check_last_letter(ball8, max_distance=8)
+        # Past the ball's reach, and below 1, where the check would be vacuous.
+        for max_distance in (8, 0, -3):
+            with pytest.raises(ValueError):
+                check_last_letter(ball8, max_distance=max_distance)
 
     def test_last_letter_rejects_other_models(self):
         with pytest.raises(ValueError):
@@ -430,7 +432,7 @@ class TestPerStateChecksMatchReferences:
         rep = check_last_letter(ball)
         assert rep.to_dict() == _reference_last_letter(ball).to_dict()
         assert bool(rep.failures) == tampered
-        for horizon in (0, 1, 5, ball.radius - 1):
+        for horizon in (1, 5, ball.radius - 1):
             rep = check_last_letter(ball, max_distance=horizon)
             ref = _reference_last_letter(ball, max_distance=horizon)
             assert rep.to_dict() == ref.to_dict()
