@@ -16,7 +16,14 @@ import sys
 from typing import Sequence
 
 from .core import Element, IDENTITY, evaluate, inverse, multiply
-from .errors import BallBudgetError, ParseError, ResourceError
+from .errors import (
+    GEODESIC_CAP,
+    MAX_STATES,
+    ORBIT_CAP,
+    BallBudgetError,
+    ParseError,
+    ResourceError,
+)
 from .geodesics import LengthTable, continuations, is_geodesic, length, std_rep
 from .moves import check_theorem2, orbit
 from .oracle import (
@@ -32,7 +39,7 @@ from .oracle import (
     check_standard_language,
     expected_terminal_words,
 )
-from .render import RenderSpec, render_svg
+from .render import RenderSpec, render_svg, write_svg
 from .words import format_word, parse_word
 
 DEFAULT_SEED = 2024
@@ -182,6 +189,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise ValueError(
             "--negative-control needs a model with a standard language: ck or z2"
         )
+    if args.negative_control and args.radius < 1:
+        raise ValueError(
+            "--negative-control needs --radius >= 1: a radius-0 ball leaves"
+            " nothing to clip"
+        )
     ball = build_ball(args.model, args.radius, max_states=args.max_states)
     report: dict = {
         "model": args.model,
@@ -270,12 +282,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         show_cells=args.cells,
         show_young=args.young,
     )
-    svg = render_svg(spec)
     if args.out is None:
-        sys.stdout.write(svg)
+        sys.stdout.write(render_svg(spec))
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        write_svg(spec, args.out)
     return EXIT_OK
 
 
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="move-closure of a word")
     p.add_argument("word")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=ORBIT_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_orbit)
 
@@ -320,15 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the move orbit of std with all geodesics (exit 5 if short)",
     )
     p.add_argument("element")
-    p.add_argument("--geodesic-cap", type=int, default=100_000)
-    p.add_argument("--orbit-cap", type=int, default=100_000)
+    p.add_argument("--geodesic-cap", type=int, default=GEODESIC_CAP)
+    p.add_argument("--orbit-cap", type=int, default=ORBIT_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check_theorem2)
 
     p = sub.add_parser("ball", help="breadth-first ball of a model")
     p.add_argument("radius", type=int)
     p.add_argument("--model", choices=("ck", "klein", "z2"), default="ck")
-    p.add_argument("--max-states", type=int, default=2_000_000)
+    p.add_argument("--max-states", type=int, default=MAX_STATES)
     p.add_argument("--export", choices=("csv", "jsonl"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ball)
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("ck", "klein", "z2"), default="ck")
     p.add_argument("--radius", type=int, default=8)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-states", type=int, default=2_000_000)
+    p.add_argument("--max-states", type=int, default=MAX_STATES)
     p.add_argument(
         "--negative-control",
         action="store_true",

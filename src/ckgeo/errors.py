@@ -1,10 +1,18 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the default budgets
+its resource errors enforce.
 
 Parse failures and resource-budget failures are kept on separate branches so
 the command-line layer can map them to distinct exit codes.
 """
 
 from __future__ import annotations
+
+#: Default state budget of a BFS ball.
+MAX_STATES = 2_000_000
+#: Default cap on the number of geodesic words an enumeration may return.
+GEODESIC_CAP = 100_000
+#: Default cap on the number of words a move orbit may reach.
+ORBIT_CAP = 100_000
 
 
 class CkgeoError(Exception):

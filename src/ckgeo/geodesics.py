@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import Element, evaluate, right_neighbors
 from .words import LETTERS, Word
@@ -173,29 +174,33 @@ def depth(g: Element) -> int:
     return 0
 
 
-def geodesic_count(g: Element) -> int:
-    """Number of geodesic words spelling ``g`` (closed form).
+def _count_geodesics(g: Element, comb: Callable[[int, int], int]) -> int:
+    """The closed-form geodesic count of ``g``, with binomials from ``comb``.
 
-    A geodesic of a normalized element with k != 0 and n >= 1 distributes
-    |k| over the odd columns and |k+m| over the even columns independently;
-    with n = 0 it is a two-sided detour with |k+m|+1 splits and two mirror
-    orientations; with k = 0 only the even columns carry weight.
+    Every geodesic of a normalized element has the same a-letter skeleton:
+    n letters a, or the detour a^{±1} … a^{∓1} when n = 0 and k != 0.  Its
+    b-runs fill the letters + 1 gaps of that skeleton; the even gaps split
+    |k+m| and the odd gaps split |k|, independently (the odd gaps stay empty
+    when k = 0).  So the count is one product over the skeleton, doubled for
+    the detour's two mirror orientations.  Normalizes inline.
     """
     k, m, n = g
     if m < 0:
         k, m = -k, -m
     if n < 0:
         n = -n
-    if k == 0:
-        half = n // 2
-        return math.comb(m + half, half)
-    if n == 0:
-        return 2 * (abs(k + m) + 1)
-    odd_slots = (n + 1) // 2
-    even_slots = n // 2 + 1
-    return math.comb(abs(k) + odd_slots - 1, odd_slots - 1) * math.comb(
-        abs(k + m) + even_slots - 1, even_slots - 1
-    )
+    letters = 2 if (n == 0 and k != 0) else n
+    even = letters // 2  # even gaps − 1
+    count = comb(abs(k + m) + even, even)
+    if k != 0:
+        odd = (letters + 1) // 2
+        count *= comb(abs(k) + odd - 1, odd - 1)
+    return 2 * count if letters != n else count
+
+
+def geodesic_count(g: Element) -> int:
+    """Number of geodesic words spelling ``g`` (closed form, exact)."""
+    return _count_geodesics(g, math.comb)
 
 
 def closed_ball_elements(radius: int) -> list[Element]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from types import ModuleType
 
-from .errors import BallBudgetError, GeodesicCapError
+from .errors import GEODESIC_CAP, MAX_STATES, BallBudgetError, GeodesicCapError
 
 BACKEND = "pure"
 
@@ -38,7 +38,7 @@ _State = tuple[int, int, int]
 
 
 def ck_ball(
-    radius: int, max_states: int = 2_000_000
+    radius: int, max_states: int = MAX_STATES
 ) -> tuple[dict[tuple[int, int, int], int], list[int]]:
     """Breadth-first ball of the central extension up to ``radius``.
 
@@ -115,21 +115,21 @@ def _rank2_ball(
 
 
 def klein_ball(
-    radius: int, max_states: int = 2_000_000
+    radius: int, max_states: int = MAX_STATES
 ) -> tuple[dict[tuple[int, int], int], list[int]]:
     """Ball of the Klein bottle group (centre quotient), states (m, n)."""
     return _rank2_ball(radius, max_states, twisted=True)
 
 
 def z2_ball(
-    radius: int, max_states: int = 2_000_000
+    radius: int, max_states: int = MAX_STATES
 ) -> tuple[dict[tuple[int, int], int], list[int]]:
     """Ball of the free abelian control, states (m, n)."""
     return _rank2_ball(radius, max_states, twisted=False)
 
 
 def ck_geodesics(
-    dist: dict[_State, int], target: _State, cap: int = 100_000
+    dist: dict[_State, int], target: _State, cap: int = GEODESIC_CAP
 ) -> list[str]:
     """All geodesic words for ``target``, in canonical lexicographic order.
 

@@ -34,8 +34,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import Element, evaluate, is_normalized
-from .errors import GeodesicCapError, OrbitCapError
-from .geodesics import is_geodesic, length, std_rep
+from .errors import GEODESIC_CAP, ORBIT_CAP, GeodesicCapError, OrbitCapError
+from .geodesics import _count_geodesics, length, std_rep
 from .words import Word, format_word, free_reduce, is_reduced, word_sort_key
 
 
@@ -309,16 +309,17 @@ def neighbors(w: Word, *, memo: dict[Word, Element] | None = None) -> list[MoveE
 
 
 def orbit(
-    w: Word, *, cap: int = 100_000, edges: list[MoveEdge] | None = None
+    w: Word, *, cap: int = ORBIT_CAP, edges: list[MoveEdge] | None = None
 ) -> list[Word]:
     """The move-closure of ``w``, sorted lexicographically by formatted word.
 
     Every move preserves the evaluated element and the word length, so the
     orbit is a set of equal-length representatives of one element.  Raises
-    :class:`OrbitCapError` past ``cap`` words.  The walk runs
-    :func:`neighbors` once on every orbit word; when ``edges`` is a list,
-    every edge it validates is appended to it, in walk order, so a completed
-    walk leaves there each orbit word's full neighbor list exactly once.
+    :class:`OrbitCapError` past ``cap`` words, the start word included.  The
+    walk runs :func:`neighbors` once on every orbit word; when ``edges`` is a
+    list, every edge it validates is appended to it, in walk order, so a
+    completed walk leaves there each orbit word's full neighbor list exactly
+    once.
 
     One memo of ``evaluate`` (see the module docstring) serves the whole
     walk: an orbit word is evaluated when it is first met as a candidate,
@@ -326,6 +327,8 @@ def orbit(
     """
     memo: dict[Word, Element] = {}
     seen = {w}
+    if len(seen) > cap:
+        raise OrbitCapError(f"orbit of {format_word(w)} exceeded cap={cap}")
     frontier = [w]
     while frontier:
         nxt = []
@@ -387,37 +390,24 @@ def _capped_binomial(n: int, k: int, cap: int) -> int:
 
 
 def _capped_geodesic_count(g: Element, cap: int) -> int:
-    """min(geodesic_count(g), cap + 1) for cap >= 0, without the exact count.
+    """min(geodesic_count(g), cap + 1), without the exact count.
 
     The same closed form as :func:`geodesic_count`, with each binomial built
     as a capped running product: a huge element decides ``count > cap`` in
     microseconds instead of in ``math.comb`` on million-sized arguments.
+    Each capped factor is at least 1, so a negative ``cap`` gives cap + 1.
     """
-    k, m, n = g
-    if m < 0:
-        k, m = -k, -m
-    if n < 0:
-        n = -n
-    if k == 0:
-        half = n // 2
-        return _capped_binomial(m + half, half, cap)
-    if n == 0:
-        return min(2 * (abs(k + m) + 1), cap + 1)
-    odd_slots = (n + 1) // 2
-    even_slots = n // 2 + 1
-    odd = _capped_binomial(abs(k) + odd_slots - 1, odd_slots - 1, cap)
-    if odd > cap:
-        return odd
-    even = _capped_binomial(abs(k + m) + even_slots - 1, even_slots - 1, cap)
-    return min(odd * even, cap + 1)
+    bound = max(cap, 0)
+    count = _count_geodesics(g, lambda n, k: _capped_binomial(n, k, bound))
+    return min(count, cap + 1)
 
 
 def check_theorem2(
     g: Element,
     *,
     ball=None,
-    geodesic_cap: int = 100_000,
-    orbit_cap: int = 100_000,
+    geodesic_cap: int = GEODESIC_CAP,
+    orbit_cap: int = ORBIT_CAP,
 ) -> ConnectivityReport:
     """Does the move orbit of std_rep(g) reach every geodesic of g?
 
@@ -510,7 +500,7 @@ def young_rectangle(g: Element) -> tuple[tuple[int, int], ...]:
     return ((n, k + m), (0, k + m), (0, -k), (n, -k))
 
 
-def _deviation_partition(comp: tuple[int, ...]) -> tuple[int, ...]:
+def _deviation_partition(comp: list[int]) -> tuple[int, ...]:
     """Deviation of a composition from its front-loaded extreme.
 
     Entry i is (total − sum of the first i+1 parts); the sequence is weakly
@@ -565,33 +555,24 @@ def young_decomposition(w: Word) -> YoungDecomposition:
         raise ValueError(
             f"element {g.format()} is not normalized (need m >= 0, n >= 0)"
         )
-    if not is_geodesic(w):
+    if len(w) != length(g):
         raise ValueError(f"word {format_word(w)!r} is not geodesic")
     k, m, n = g
     gaps, axes = _gaps_axes(w)
-    if n == 0 and k != 0:
-        # Two mirror detour families: a^c b^k a^{-c} wrapped in b-runs.
+    # The skeleton: n letters a, or the detour a^c … a^{-c} (two mirror
+    # families, c = ±1) when n = 0 and k != 0.
+    detour = n == 0 and k != 0
+    if detour:
         if len(axes) != 2 or axes[0] != -axes[1]:
             raise ValueError("unexpected shape for a detour geodesic")
-        even_comp = (abs(gaps[0]), abs(gaps[2]))
-        odd_comp = (abs(gaps[1]),)
-        detour_sign = axes[0]
-    elif not axes:
-        even_comp = (abs(gaps[0]),)
-        odd_comp = ()
-        detour_sign = 0
-    else:
-        if axes != [1] * n:
-            raise ValueError("unexpected shape for an x-monotone geodesic")
-        even_comp = tuple(abs(gaps[x]) for x in range(0, n + 1, 2))
-        odd_comp = tuple(abs(gaps[x]) for x in range(1, n + 1, 2))
-        detour_sign = 0
+    elif axes != [1] * n:
+        raise ValueError("unexpected shape for an x-monotone geodesic")
     return YoungDecomposition(
         element=g,
         rectangle=young_rectangle(g),
-        even_side=_deviation_partition(even_comp),
-        odd_side=_deviation_partition(odd_comp),
-        detour_sign=detour_sign,
+        even_side=_deviation_partition([abs(v) for v in gaps[0::2]]),
+        odd_side=_deviation_partition([abs(v) for v in gaps[1::2]]),
+        detour_sign=axes[0] if detour else 0,
     )
 
 
@@ -604,39 +585,22 @@ def young_recompose(dec: YoungDecomposition) -> Word:
     k, m, n = dec.element
     if m < 0 or n < 0:
         raise ValueError("element is not normalized")
-    detour = n == 0 and k != 0
-    if detour:
+    if n == 0 and k != 0:
         if dec.detour_sign not in (-1, 1):
             raise ValueError("detour_sign must be ±1 for n = 0, k != 0")
-        even_slots, odd_slots = 2, 1
+        axes = [dec.detour_sign, -dec.detour_sign]
     else:
         if dec.detour_sign != 0:
             raise ValueError("detour_sign must be 0 unless n = 0 and k != 0")
-        even_slots = n // 2 + 1
-        odd_slots = (n + 1) // 2
-    even_total = abs(k + m) if k != 0 else m
-    odd_total = abs(k)
-    even_sign = (1 if k + m >= 0 else -1) if k != 0 else 1
-    odd_sign = 1 if k >= 0 else -1
-    even_comp = _composition_from_partition(dec.even_side, even_total, even_slots)
-    odd_comp = _composition_from_partition(dec.odd_side, odd_total, odd_slots)
-    if detour:
-        c = dec.detour_sign
-        word = (
-            _b_run(even_sign * even_comp[0])
-            + ("a" if c > 0 else "A")
-            + _b_run(odd_sign * odd_comp[0])
-            + ("A" if c > 0 else "a")
-            + _b_run(even_sign * even_comp[1])
-        )
-    else:
-        gaps = []
-        for x in range(n + 1):
-            side, idx = (even_comp, x // 2) if x % 2 == 0 else (odd_comp, x // 2)
-            gaps.append(
-                (even_sign if x % 2 == 0 else odd_sign) * side[idx]
-            )
-        word = _build(gaps, [1] * n)
+        axes = [1] * n
+    # The even gaps split |k+m| with the sign of k+m, the odd gaps |k| with
+    # the sign of k.
+    gaps = [0] * (len(axes) + 1)
+    even_comp = _composition_from_partition(dec.even_side, abs(k + m), len(gaps[0::2]))
+    odd_comp = _composition_from_partition(dec.odd_side, abs(k), len(gaps[1::2]))
+    gaps[0::2] = [v if k + m >= 0 else -v for v in even_comp]
+    gaps[1::2] = [v if k >= 0 else -v for v in odd_comp]
+    word = _build(gaps, axes)
     if evaluate(word) != dec.element:
         raise ValueError("decomposition does not evaluate to its element")
     if dec.rectangle != young_rectangle(dec.element):

@@ -14,7 +14,7 @@ from typing import IO, Hashable, Iterator, Mapping
 
 from . import kernels
 from .core import Element, right_neighbors
-from .errors import BallBudgetError, GeodesicCapError
+from .errors import GEODESIC_CAP, MAX_STATES, BallBudgetError, GeodesicCapError
 from .geodesics import closed_ball_elements, length, std_rep
 from .models import GroupModel, get_model
 from .words import (
@@ -25,9 +25,6 @@ from .words import (
     LETTERS,
     word_sort_key,
 )
-
-DEFAULT_MAX_STATES = 2_000_000
-DEFAULT_GEODESIC_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ def build_ball(
     model: GroupModel | str,
     radius: int,
     *,
-    max_states: int = DEFAULT_MAX_STATES,
+    max_states: int = MAX_STATES,
     force_generic: bool = False,
 ) -> BallIndex:
     """Build the radius-``radius`` ball of a model.
@@ -151,20 +148,13 @@ def build_ball(
     )
 
 
-def _as_state_key(ball: BallIndex, g: Hashable) -> Hashable:
-    """Normalize user input (Element or plain tuple) to a distance key."""
-    if isinstance(g, Element):
-        return (g.k, g.m, g.n)
-    return tuple(g)
-
-
 def exact_length(ball: BallIndex, g: Hashable) -> int:
     """BFS distance of a state; raises if the ball does not cover it."""
-    return ball.distance(_as_state_key(ball, g))
+    return ball.distance(tuple(g))
 
 
 def enumerate_geodesics(
-    ball: BallIndex, g: Hashable, *, cap: int = DEFAULT_GEODESIC_CAP
+    ball: BallIndex, g: Hashable, *, cap: int = GEODESIC_CAP
 ) -> list[Word]:
     """All geodesic words for a covered state, canonically sorted.
 
@@ -172,7 +162,7 @@ def enumerate_geodesics(
     geodesic interval; other models use a generic right-peeling walk.
     Raises :class:`GeodesicCapError` when more than ``cap`` words exist.
     """
-    state = _as_state_key(ball, g)
+    state = tuple(g)
     if ball.model == "ck":
         return kernels.ck_geodesics(ball.distances, state, cap)
     model = get_model(ball.model)

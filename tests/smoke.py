@@ -1,9 +1,9 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs three commands through ``ckgeo.cli.main`` and checks each exit code
+Runs five commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
-    PYTHONPATH=src python tests/smoke.py
+    PYTHONPATH=src python -X dev -W error tests/smoke.py
 
 Exits 0 when every command matches, 1 otherwise.
 """
@@ -18,7 +18,9 @@ import sys
 from ckgeo import cli
 
 # (argv, exit code, SHA-256 of stdout).  The audit digest is the r = 12 one
-# that tests/test_cli.py pins; the other two were recorded with it.
+# that tests/test_cli.py pins; the orbit and first check-theorem2 digests were
+# recorded with it.  The render digest is that of tests/golden/std_m4_2_4.svg;
+# the last case has more geodesics than the default cap and prints nothing.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -34,6 +36,16 @@ CASES = [
         ["orbit", "aabab"],
         0,
         "ace3e6864b2fb213bd09ef8a46970bb09a10abe39e825df922cbe8cb81a1b123",
+    ),
+    (
+        ["render", "b^-2 a b^-4 a^3", "--cells", "--young"],
+        0,
+        "05e6b545671e4675c6b14d0b9b37f717fbd01daddc5d923e991a61dba6993575",
+    ),
+    (
+        ["check-theorem2", "(1000000,1000000,1000000)"],
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 ]
 

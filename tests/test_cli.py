@@ -68,6 +68,11 @@ class TestOrbit:
         assert rc == 3
         assert "cap" in err
 
+    def test_cap_counts_the_start_word(self, capsys):
+        rc, out, err = run(capsys, "orbit", "a", "--cap", "0")
+        assert (rc, out) == (3, "")
+        assert "cap=0" in err
+
 
 class TestTheorem2:
     def test_text_line(self, capsys):
@@ -198,6 +203,23 @@ class TestAudit:
         assert rc == 2
         assert out == ""
         assert "--negative-control" in err
+
+    @pytest.mark.parametrize("model", ["ck", "z2"])
+    def test_radius_zero_negative_control_rejected_before_any_ball(
+        self, capsys, monkeypatch, model
+    ):
+        # A radius-0 ball leaves no standard word to clip, so the control
+        # could not fail.
+        def no_ball(*args, **kwargs):
+            raise AssertionError("build_ball called for an unsupported audit")
+
+        monkeypatch.setattr(oracle, "build_ball", no_ball)
+        monkeypatch.setattr(cli, "build_ball", no_ball)
+        rc, out, err = run(
+            capsys, "audit", "--model", model, "--radius", "0", "--negative-control"
+        )
+        assert (rc, out) == (2, "")
+        assert "--radius >= 1" in err
 
     # SHA-256 of the audit's stdout and its exit code: r = 8 and 12 recorded
     # before the audit's closed-form layer was rewritten, r = 16 before the

@@ -214,6 +214,22 @@ class TestDeadEnds:
             depth(Element(2, 1, 3))
 
 
+def _reference_geodesic_count(g):
+    """geodesic_count as first written, one branch per shape: k = 0, the
+    n = 0 detour, and the rest."""
+    k, m, n = normalize_quadrant(g).normalized
+    if k == 0:
+        half = n // 2
+        return math.comb(m + half, half)
+    if n == 0:
+        return 2 * (abs(k + m) + 1)
+    odd_slots = (n + 1) // 2
+    even_slots = n // 2 + 1
+    return math.comb(abs(k) + odd_slots - 1, odd_slots - 1) * math.comb(
+        abs(k + m) + even_slots - 1, even_slots - 1
+    )
+
+
 class TestGeodesicCount:
     def test_frozen_counts(self):
         assert geodesic_count(IDENTITY) == 1
@@ -241,6 +257,26 @@ class TestGeodesicCount:
             g = Element(rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10))
             assert geodesic_count(g) == geodesic_count(Element(-g.k, -g.m, -g.n))
             assert geodesic_count(g) == geodesic_count(Element(g.k, g.m, -g.n))
+
+    def test_matches_reference_on_box(self):
+        # Every element with coordinates in [-15, 15]: all four quadrants,
+        # both axes, and every parity of n on each side of the detour.
+        for k in range(-15, 16):
+            for m in range(-15, 16):
+                for n in range(-15, 16):
+                    g = Element(k, m, n)
+                    assert geodesic_count(g) == _reference_geodesic_count(g), g
+
+    # |n| stays small: math.comb on million-sized arguments takes seconds per
+    # call.
+    @given(
+        k=st.integers(-10**6, 10**6),
+        m=st.integers(-10**6, 10**6),
+        n=st.integers(-64, 64),
+    )
+    def test_matches_reference(self, k, m, n):
+        g = Element(k, m, n)
+        assert geodesic_count(g) == _reference_geodesic_count(g)
 
 
 def _reference_length(g):

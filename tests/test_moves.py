@@ -270,6 +270,12 @@ class TestOrbit:
         with pytest.raises(OrbitCapError):
             orbit("aBaaBB", cap=2)
 
+    def test_cap_counts_the_start_word(self):
+        with pytest.raises(OrbitCapError, match="exceeded cap=0"):
+            orbit("a", cap=0)
+        with pytest.raises(OrbitCapError):
+            check_theorem2(Element(0, 0, 1), orbit_cap=0)
+
     def test_long_a_power_is_fixed(self):
         assert orbit("a" * 300) == ["a" * 300]
 
@@ -378,7 +384,7 @@ class TestConnectivity:
         with pytest.raises(GeodesicCapError):
             check_theorem2(Element(-1, 3, 4), geodesic_cap=11)
 
-    @pytest.mark.parametrize("cap", [0, 1, 11, 10**5])
+    @pytest.mark.parametrize("cap", [-5, 0, 1, 11, 10**5])
     def test_capped_count_decides_like_the_exact_count(self, ball12, cap):
         for key in ball12.distances:
             g = Element(*key)
@@ -481,6 +487,38 @@ class TestYoungDecomposition:
                 dec = young_decomposition(w)
                 trivial = dec.even_side == () and dec.odd_side == () and dec.detour_sign >= 0
                 assert (w == std) == trivial, (key, w)
+
+
+def _radius_10_geodesics(ball12):
+    """Every geodesic of every normalized element of the radius-10 ball:
+    elements in key order, words in enumerate_geodesics order."""
+    from ckgeo.oracle import enumerate_geodesics
+
+    words = []
+    for key in sorted(ball12.distances):
+        if ball12.distances[key] <= 10 and key[1] >= 0 and key[2] >= 0:
+            words.extend(enumerate_geodesics(ball12, key))
+    return words
+
+
+class TestYoungRadius10:
+    """Every diagram pair of the radius-10 ball, pinned by a digest recorded
+    before the decomposition shared one gap-parity rule across the detour
+    and the x-monotone shapes."""
+
+    def test_decomposition_digest(self, ball12):
+        words = _radius_10_geodesics(ball12)
+        digest = hashlib.sha256()
+        for w in words:
+            digest.update(json.dumps(young_decomposition(w).to_dict()).encode())
+        assert len(words) == 4254
+        assert digest.hexdigest() == (
+            "1ddceb624c5d535d7129bb0115e11bd4045c18613f0677aceba5bf417f181f9d"
+        )
+
+    def test_round_trip(self, ball12):
+        for w in _radius_10_geodesics(ball12):
+            assert young_recompose(young_decomposition(w)) == w, w
 
 
 class TestYoungRecompose:
