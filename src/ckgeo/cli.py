@@ -10,6 +10,7 @@ canonical orderings, stable JSON key order), so repeated runs byte-match.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -123,20 +124,13 @@ def _cmd_ball(args: argparse.Namespace) -> int:
             f" levels={levels} backend={ball.backend}"
         )
         return EXIT_OK
-    if args.out is None:
-        target = sys.stdout
-        close = False
-    else:
-        target = open(args.out, "w", encoding="utf-8")
-        close = True
-    try:
-        if args.export == "csv":
-            ball.export_csv(target)
-        else:
-            ball.export_jsonl(target)
-    finally:
-        if close:
-            target.close()
+    export = ball.export_csv if args.export == "csv" else ball.export_jsonl
+    with (
+        open(args.out, "w", encoding="utf-8")
+        if args.out is not None
+        else contextlib.nullcontext(sys.stdout)
+    ) as target:
+        export(target)
     return EXIT_OK
 
 

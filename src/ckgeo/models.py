@@ -1,52 +1,42 @@
-"""Pluggable group models for the brute-force oracle.
+"""The three group models of the brute-force oracle.
 
-A :class:`GroupModel` is the minimal contract ball construction needs: an
-identity state, a deterministic right-multiplication step per letter, and a
-hashable canonical key.  Three models ship with the toolkit:
+A :class:`GroupModel` is one right-neighbour rule: ``neighbors(s)`` returns
+s·a, s·A, s·b, s·B (``LETTERS`` order) for a state s, a plain integer tuple
+laid out as ``state_fields``.  ``step`` and ``evaluate`` follow from it.
 
-* ``CK`` — the central extension itself, states are normal-form triples;
+* ``CK`` — the central extension itself, states (k, m, n);
 * ``KLEIN`` — the quotient by the centre (Klein bottle group), states (m, n)
   with the b-direction twisted by the parity of n;
 * ``ZSQUARED`` — the free abelian control, states (m, n) untwisted.
 
-Every model must satisfy, for all states s and letters x:
+Every model satisfies, for all states s and letters x:
 ``step(step(s, x), x⁻¹) == s`` (steps are invertible) and
-``key(step(identity, x)) != key(identity)`` (no generator fixes the identity).
+``step(identity, x) != identity`` (no generator fixes the identity).
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from .core import IDENTITY, evaluate, right_neighbors
+from .words import LETTERS, Letter, Word
 
-from .core import GENERATORS, IDENTITY, Element, evaluate, multiply
-from .words import Letter, Word
-
-State = Any
+State = tuple[int, ...]
 
 
 class GroupModel:
     """Transition-system view of a group with generators a, b."""
 
     name: str = "abstract"
-    identity: State = None
-    #: CSV/JSON field names for a state, aligned with :meth:`state_values`.
+    identity: State = ()
+    #: CSV/JSON field names for a state's coordinates.
     state_fields: tuple[str, ...] = ()
+
+    def neighbors(self, state: State) -> tuple[State, State, State, State]:
+        """s·a, s·A, s·b, s·B for a state s, in ``LETTERS`` order."""
+        raise NotImplementedError
 
     def step(self, state: State, letter: Letter) -> State:
         """Right-multiply a state by one generator letter."""
-        raise NotImplementedError
-
-    def key(self, state: State) -> Hashable:
-        """Hashable canonical form of a state (default: the state itself)."""
-        return state
-
-    def from_key(self, key: Hashable) -> State:
-        """Rebuild a state from its canonical key (default: identity map)."""
-        return key
-
-    def state_values(self, state: State) -> tuple[int, ...]:
-        """Integer coordinates of a state, aligned with :attr:`state_fields`."""
-        raise NotImplementedError
+        return self.neighbors(state)[LETTERS.index(letter)]
 
     def evaluate(self, w: Word) -> State:
         """Fold a whole word from the identity."""
@@ -61,63 +51,36 @@ class GroupModel:
 
 class _CkModel(GroupModel):
     name = "ck"
-    identity: Element = IDENTITY
+    identity = IDENTITY
     state_fields = ("k", "m", "n")
 
-    def step(self, state: Element, letter: Letter) -> Element:
-        return multiply(state, GENERATORS[letter])
-
-    def evaluate(self, w: Word) -> Element:
-        return evaluate(w)
-
-    def from_key(self, key) -> Element:
-        return Element(*key)
-
-    def state_values(self, state: Element) -> tuple[int, ...]:
-        return (state.k, state.m, state.n)
+    neighbors = staticmethod(right_neighbors)
+    evaluate = staticmethod(evaluate)
 
 
 class _KleinModel(GroupModel):
     """Quotient of CK by its centre: b-steps twist with the parity of n."""
 
     name = "klein"
-    identity: tuple[int, int] = (0, 0)
+    identity = (0, 0)
     state_fields = ("m", "n")
 
-    def step(self, state: tuple[int, int], letter: Letter) -> tuple[int, int]:
+    def neighbors(self, state: tuple[int, int]) -> tuple[tuple[int, int], ...]:
         m, n = state
-        if letter == "a":
-            return (m, n + 1)
-        if letter == "A":
-            return (m, n - 1)
-        s = 1 if letter == "b" else -1
-        if n & 1:
-            s = -s
-        return (m + s, n)
-
-    def state_values(self, state: tuple[int, int]) -> tuple[int, ...]:
-        return state
+        s = -1 if n & 1 else 1
+        return (m, n + 1), (m, n - 1), (m + s, n), (m - s, n)
 
 
 class _ZSquaredModel(GroupModel):
     """Free abelian control: generators commute, no twist anywhere."""
 
     name = "z2"
-    identity: tuple[int, int] = (0, 0)
+    identity = (0, 0)
     state_fields = ("m", "n")
 
-    def step(self, state: tuple[int, int], letter: Letter) -> tuple[int, int]:
+    def neighbors(self, state: tuple[int, int]) -> tuple[tuple[int, int], ...]:
         m, n = state
-        if letter == "a":
-            return (m, n + 1)
-        if letter == "A":
-            return (m, n - 1)
-        if letter == "b":
-            return (m + 1, n)
-        return (m - 1, n)
-
-    def state_values(self, state: tuple[int, int]) -> tuple[int, ...]:
-        return state
+        return (m, n + 1), (m, n - 1), (m + 1, n), (m - 1, n)
 
 
 CK = _CkModel()

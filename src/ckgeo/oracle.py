@@ -14,14 +14,13 @@ from typing import IO, Hashable, Iterator, Mapping
 
 from . import kernels
 from .core import Element, right_neighbors
-from .errors import GEODESIC_CAP, MAX_STATES, BallBudgetError, GeodesicCapError
+from .errors import GEODESIC_CAP, MAX_STATES, GeodesicCapError
 from .geodesics import closed_ball_elements, length, std_rep
 from .models import GroupModel, get_model
 from .words import (
     Word,
     format_word,
     free_reduce,
-    inverse_letter,
     LETTERS,
     word_sort_key,
 )
@@ -34,9 +33,8 @@ class BallIndex:
     ``distances`` is keyed by the model's canonical state keys (coordinate
     tuples).  ``frontier_sizes[d]`` is the number of states at distance
     exactly d, so ``frontier_sizes[0] == 1`` and the sizes sum to
-    ``len(distances)``.  ``backend`` records which BFS built the index
-    (``pure`` for the specialized kernel, ``generic`` for the model-agnostic
-    BFS).
+    ``len(distances)``.  ``backend`` names the kernel backend that built
+    the index; :mod:`ckgeo.kernels` is the one backend, so it reads ``pure``.
     """
 
     model: str
@@ -87,64 +85,22 @@ _KERNEL_BUILDERS = {
 }
 
 
-def _generic_ball(
-    model: GroupModel, radius: int, max_states: int
-) -> tuple[dict[Hashable, int], list[int]]:
-    """Model-agnostic level-synchronous BFS via ``model.step``."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    start = model.key(model.identity)
-    dist: dict[Hashable, int] = {start: 0}
-    frontier = [model.identity]
-    levels = [1]
-    for d in range(1, radius + 1):
-        nxt = []
-        for state in frontier:
-            for letter in LETTERS:
-                child = model.step(state, letter)
-                child_key = model.key(child)
-                if child_key not in dist:
-                    dist[child_key] = d
-                    nxt.append(child)
-        if len(dist) > max_states:
-            raise BallBudgetError(
-                f"ball construction exceeded max_states={max_states}"
-                f" at radius {d}",
-                states=len(dist),
-                levels_completed=d - 1,
-            )
-        frontier = nxt
-        levels.append(len(nxt))
-    return dist, levels
-
-
 def build_ball(
-    model: GroupModel | str,
-    radius: int,
-    *,
-    max_states: int = MAX_STATES,
-    force_generic: bool = False,
+    model: GroupModel | str, radius: int, *, max_states: int = MAX_STATES
 ) -> BallIndex:
-    """Build the radius-``radius`` ball of a model.
+    """Build the radius-``radius`` ball of a registered model by its kernel.
 
-    Uses the specialized kernel for the built-in models unless
-    ``force_generic`` asks for the model-agnostic BFS.
+    ``model`` is a name or a model of :data:`ckgeo.models.MODELS`; any other
+    name raises ``ValueError``.
     """
-    if isinstance(model, str):
-        model = get_model(model)
-    builder = None if force_generic else _KERNEL_BUILDERS.get(model.name)
-    if builder is not None:
-        distances, levels = builder(radius, max_states)
-        backend = kernels.BACKEND
-    else:
-        distances, levels = _generic_ball(model, radius, max_states)
-        backend = "generic"
+    model = get_model(model if isinstance(model, str) else model.name)
+    distances, levels = _KERNEL_BUILDERS[model.name](radius, max_states)
     return BallIndex(
         model=model.name,
         radius=radius,
         distances=distances,
         frontier_sizes=tuple(levels),
-        backend=backend,
+        backend=kernels.BACKEND,
     )
 
 
@@ -159,13 +115,13 @@ def enumerate_geodesics(
     """All geodesic words for a covered state, canonically sorted.
 
     For the central extension the kernel enumerates level by level over the
-    geodesic interval; other models use a generic right-peeling walk.
+    geodesic interval; the rank-2 models peel letters off the right.
     Raises :class:`GeodesicCapError` when more than ``cap`` words exist.
     """
     state = tuple(g)
     if ball.model == "ck":
         return kernels.ck_geodesics(ball.distances, state, cap)
-    model = get_model(ball.model)
+    neighbors = get_model(ball.model).neighbors
     total = ball.distance(state)
     out: list[Word] = []
     suffix: list[str] = []
@@ -178,14 +134,15 @@ def enumerate_geodesics(
                 )
             out.append("".join(reversed(suffix)))
             return
-        for letter in LETTERS:
-            h = model.step(s, inverse_letter(letter))
-            if ball.distances.get(model.key(h), -1) == remaining - 1:
+        # s·x⁻¹ is the neighbour by x⁻¹: s·A, s·a, s·B, s·b for x = a, A, b, B.
+        by_a, by_A, by_b, by_B = neighbors(s)
+        for letter, h in (("a", by_A), ("A", by_a), ("b", by_B), ("B", by_b)):
+            if ball.distances.get(h, -1) == remaining - 1:
                 suffix.append(letter)
                 peel(h, remaining - 1)
                 suffix.pop()
 
-    peel(model.from_key(state), total)
+    peel(state, total)
     out.sort(key=word_sort_key)
     return out
 
@@ -235,18 +192,17 @@ def audit_dead_ends(ball: BallIndex, *, deep: bool = False) -> AuditReport:
 
     A state at distance d < radius is a candidate when no generator step
     reaches distance d + 1 (interior states always have all four neighbours
-    covered, so the conclusion is exact, not sampled).  For the central
-    extension the four neighbour keys come from
-    :func:`ckgeo.core.right_neighbors` by tuple arithmetic, and the
+    covered, so the conclusion is exact, not sampled); the four neighbour
+    keys come from the model's ``neighbors``.  For the central extension the
     closed-form :func:`ckgeo.geodesics.is_dead_end` verdict is cross-checked
     on every certified state; any disagreement between the two routes is
-    reported as a candidate.  Other models step through ``model.step``.
+    reported as a candidate.
     ``deep`` also records, per level, how many states have exactly one
     ascending neighbour (in ``notes``).
     """
     from .geodesics import is_dead_end
 
-    model = get_model(ball.model)
+    neighbors = get_model(ball.model).neighbors
     ck = ball.model == "ck"
     get = ball.distances.get
     horizon = ball.radius - 1
@@ -257,13 +213,8 @@ def audit_dead_ends(ball: BallIndex, *, deep: bool = False) -> AuditReport:
         if d > horizon:
             continue
         checked += 1
-        if ck:
-            children = right_neighbors(state)
-        else:
-            state_obj = model.from_key(state)
-            children = [model.key(model.step(state_obj, s)) for s in LETTERS]
         ascending = 0
-        for child_key in children:
+        for child_key in neighbors(state):
             if get(child_key, -1) == d + 1:
                 ascending += 1
         if ascending == 0:
@@ -375,7 +326,7 @@ def check_standard_language(
         if free_reduce(w) != w:
             geodesic_failures.append(f"{format_word(w)} is not freely reduced")
             continue
-        state_key = model.key(model.evaluate(w))
+        state_key = model.evaluate(w)
         if ball.distances.get(state_key, -1) != len(w):
             geodesic_failures.append(f"{format_word(w)} is not geodesic")
         if state_key in seen:
@@ -440,15 +391,14 @@ def expected_terminal_words(max_length: int) -> frozenset[str]:
     a-direction letter that no longer standard word retains, so they are
     never proper prefixes of other standard words.  The language audit's
     prefix failures on a radius-R ball are expected to equal this set at
-    max_length = R − 1; anything else is a real defect.  A negative
-    max_length (the radius-0 audit) has no such words.
+    max_length = R − 1; anything else is a real defect.  Walks the axis
+    square |k|, |m| <= max_length directly (each coordinate is bounded by the
+    length), so a negative max_length (the radius-0 audit) has no such words.
     """
-    if max_length < 0:
-        return frozenset()
+    span = range(-max_length, max_length + 1)
+    axis = (Element(k, m, 0) for k in span if k for m in span)
     return frozenset(
-        format_word(std_rep(g))
-        for g in closed_ball_elements(max_length)
-        if g.n == 0 and g.k != 0
+        format_word(std_rep(g)) for g in axis if length(g) <= max_length
     )
 
 

@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs five commands through ``ckgeo.cli.main`` and checks each exit code
+Runs seven commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -20,7 +20,8 @@ from ckgeo import cli
 # (argv, exit code, SHA-256 of stdout).  The audit digest is the r = 12 one
 # that tests/test_cli.py pins; the orbit and first check-theorem2 digests were
 # recorded with it.  The render digest is that of tests/golden/std_m4_2_4.svg;
-# the last case has more geodesics than the default cap and prints nothing.
+# the next case has more geodesics than the default cap and prints nothing.
+# The last two run the rank-2 controls, klein and z2.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -46,6 +47,16 @@ CASES = [
         ["check-theorem2", "(1000000,1000000,1000000)"],
         3,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["ball", "10", "--model", "klein"],
+        0,
+        "d3f5eb3eb8efefa5494e00eb5522bdf651aafae759f59ff1f05db93841cc65bd",
+    ),
+    (
+        ["audit", "--model", "z2", "--radius", "8"],
+        0,
+        "1e66d9ba85825ad597e7969db5ddc6534687c00c33133d6d33f44f16d578457a",
     ),
 ]
 

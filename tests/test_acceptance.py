@@ -128,7 +128,7 @@ def test_a06_generator_steps_change_length_by_one(ball12):
             continue
         g = Element(*key)
         for s in LETTERS:
-            nd = ball12.distances[CK.key(CK.step(g, s))]
+            nd = ball12.distances[CK.step(g, s)]
             assert abs(nd - d) == 1, (key, s)
 
 
@@ -146,7 +146,7 @@ def test_a07_continuation_rule_letters_literal(ball12):
             continue
         rule = continuation_rule_letters(classify_region(g))
         for s in rule:
-            nd = ball12.distances[CK.key(CK.step(g, s))]
+            nd = ball12.distances[CK.step(g, s)]
             assert nd == d + 1, (key, s)
 
 
@@ -160,7 +160,7 @@ def test_a07_continuation_rule_letters_certified(ball12):
             continue
         rule = continuation_rule_letters(classify_region(g))
         for s in rule:
-            nd = ball12.distances[CK.key(CK.step(g, s))]
+            nd = ball12.distances[CK.step(g, s)]
             if nd != d + 1:
                 violations.append((key, s))
     # Every violation is the a-letter of an n = 0 element, and every
@@ -181,7 +181,7 @@ def test_a07_continuation_rule_letters_certified(ball12):
             continue
         g = Element(*key)
         expected = "".join(
-            s for s in LETTERS if ball12.distances[CK.key(CK.step(g, s))] == d + 1
+            s for s in LETTERS if ball12.distances[CK.step(g, s)] == d + 1
         )
         assert continuations(g) == expected, key
 

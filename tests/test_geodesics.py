@@ -161,7 +161,7 @@ class TestContinuations:
                 continue
             g = Element(*key)
             expected = "".join(
-                s for s in "aAbB" if ball8.distances[CK.key(CK.step(g, s))] == dist + 1
+                s for s in "aAbB" if ball8.distances[CK.step(g, s)] == dist + 1
             )
             assert continuations(g) == expected
 

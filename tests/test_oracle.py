@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from ckgeo import kernels
 from ckgeo.core import GENERATORS, Element, inverse, multiply
 from ckgeo.errors import BallBudgetError, GeodesicCapError
 from ckgeo.geodesics import (
@@ -14,9 +15,10 @@ from ckgeo.geodesics import (
     length,
     std_rep,
 )
-from ckgeo.models import KLEIN, get_model
+from ckgeo.models import CK, KLEIN, ZSQUARED, get_model
 from ckgeo.oracle import (
     AuditReport,
+    BallIndex,
     CheckReport,
     CkStandardWords,
     TruncatedLanguage,
@@ -53,10 +55,28 @@ class TestBuildBall:
     def test_generic_matches_kernel(self):
         for name in ("ck", "klein", "z2"):
             fast = build_ball(name, 6)
-            slow = build_ball(name, 6, force_generic=True)
-            assert slow.backend == "generic"
+            slow = _reference_ball(get_model(name), 6)
             assert dict(fast.distances) == dict(slow.distances)
             assert fast.frontier_sizes == slow.frontier_sizes
+
+    @pytest.mark.parametrize("name", ["ck", "klein", "z2"])
+    def test_kernel_matches_reference_radius_8(self, name):
+        distances, levels = getattr(kernels, f"{name}_ball")(8)
+        reference = _reference_ball(get_model(name), 8)
+        assert (distances, tuple(levels)) == (reference.distances, reference.frontier_sizes)
+
+    @pytest.mark.parametrize("name", ["klein", "z2"])
+    def test_rank2_distances_are_taxicab(self, name):
+        # A closed-form reference that needs no BFS: the diamond |m| + |n| <= 40.
+        ball = build_ball(name, 40)
+        assert len(ball) == 2 * 40 * 41 + 1
+        assert all(d == abs(m) + abs(n) for (m, n), d in ball.distances.items())
+
+    def test_only_registered_models(self):
+        z2_copy = type("Z2Copy", (type(ZSQUARED),), {"name": "z2-copy"})()
+        with pytest.raises(ValueError, match="unknown model 'z2-copy'"):
+            build_ball(z2_copy, 4)
+        assert build_ball(ZSQUARED, 2).model == "z2"
 
     def test_budget_error(self):
         with pytest.raises(BallBudgetError) as exc:
@@ -122,7 +142,7 @@ class TestEnumerateGeodesics:
         assert all(KLEIN.evaluate(w) == (1, 1) for w in words)
 
     def test_generic_matches_kernel_route(self, ball8):
-        generic = build_ball("ck", 6, force_generic=True)
+        generic = _reference_ball(CK, 6)
         for key in ((1, 0, 0), (-1, 3, 2), (0, 2, 2), (2, 0, 0)):
             assert enumerate_geodesics(generic, key) == enumerate_geodesics(ball8, key)
 
@@ -284,6 +304,20 @@ class TestStatesSorted:
         assert len(rows) == len(ball8)
 
 
+def _reference_ball(model, radius):
+    """Level-synchronous BFS over ``model.neighbors``, the kernels' reference."""
+    levels = [[tuple(model.identity)]]
+    distances = {levels[0][0]: 0}
+    for d in range(1, radius + 1):
+        levels.append([])
+        for state in levels[-2]:
+            for child in model.neighbors(state):
+                if child not in distances:
+                    distances[child] = d
+                    levels[-1].append(child)
+    return BallIndex(model.name, radius, distances, tuple(map(len, levels)), "reference")
+
+
 # References for the per-state checks: the multiply-based versions they
 # replaced, kept verbatim apart from the sort, which is the old lambda.
 
@@ -303,9 +337,8 @@ def _reference_dead_ends(ball, *, deep=False):
             continue
         checked += 1
         ascending = 0
-        state_obj = model.from_key(state)
         for letter in LETTERS:
-            child_key = model.key(model.step(state_obj, letter))
+            child_key = model.step(state, letter)
             if ball.distances.get(child_key, -1) == d + 1:
                 ascending += 1
         if ascending == 0:
