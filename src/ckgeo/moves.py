@@ -1,42 +1,59 @@
 """Length- and element-preserving rewriting moves on geodesic words.
 
-Three candidate families are generated syntactically and then validated
-semantically; a candidate becomes a :class:`MoveEdge` only if it has the same
-length, is freely reduced, and evaluates to the same element as the source
-(geodesity is inherited through the length).  The validator is the single
-point of truth; generation only skips candidates that provably fail it.
-Detowering works out the element shift of each a-letter shift from the
-column parity alone and builds just the pairs whose shifts cancel and whose
-b-run lengths add up to the source length; clipping pairs only
-transpositions with cancelling area shifts.
+A freely reduced word is its *skeleton* ``(gaps, axes)``: ``axes[i]`` is the
+±1 of its i-th a-letter, and ``gaps[i]`` is the signed b-run before that
+letter, with ``gaps[-1]`` the tail run.  The word has ``len(axes) +
+Σ|gaps|`` letters, and it is freely reduced iff no zero gap sits between two
+opposite a-letters.  Gap i lies in a column of parity i, so the element is
+``(Σ odd gaps, Σ even gaps − Σ odd gaps, Σ axes)``, read off in O(len(axes)).
+A skeleton cannot spell an unreduced word, so every function here that takes
+a word raises ``ValueError("word is not freely reduced")`` on one.
 
-Elements are looked up in a ``memo`` that maps a word to ``evaluate(word)``.
-The memo is a pure function of the word, so one dict may serve any number of
-sources and elements; :func:`orbit` shares one across its walk, where every
-orbit word is the target of many edges but is evaluated once.
+The three families rewrite the source's skeleton; a candidate becomes a
+:class:`MoveEdge` only if :func:`_validated` finds that it differs from the
+source, spells a word of the same length, is freely reduced and has the same
+element (geodesity is inherited through the length).  The validator is the
+single point of truth; generation only skips candidates that provably fail
+it.  Detowering works out the element shift of each a-letter shift from the
+gap parity alone and builds just the pairs whose shifts cancel and whose
+b-runs keep the length; clipping pairs only transpositions with cancelling
+area shifts.
 
 * EVEN_CASTLING — slide one b-letter across a doubled a-letter (x x y ↔ y x x
-  for x ∈ {a, a⁻¹}, y ∈ {b, b⁻¹});
+  for x ∈ {a, a⁻¹}, y ∈ {b, b⁻¹}): one b-step moves from gap j to gap j + 2;
 * DETOWERING — pick two distinct a-letters and shift each across one
   adjacent b-step, rebalancing the b-runs around them;
 * CLIPPING — compose two disjoint a/b transpositions whose unit area shifts
-  cancel, or reflect a detour (a^ε b^q a^{−ε} ↔ a^{−ε} b^q a^ε); both
+  cancel (each adds the same ±1 to the two gaps around its a-letter), or
+  reflect a detour (a^ε b^q a^{−ε} ↔ a^{−ε} b^q a^ε: two axes swap); both
   relocate boundary cells without changing the enclosed element.
 
-All moves are involutive up to the family (the reverse rewrite is generated
-from the target), so the induced orbit relation is symmetric.
+Sites name string offsets (castling and clipping windows) or a-letter
+indices (detowering, reflections).  All moves are involutive up to the
+family (the reverse rewrite is generated from the target), so the induced
+orbit relation is symmetric.
+
+A ``memo`` maps each skeleton, and each word built from one, to a single
+entry: the word, its :func:`word_sort_key` and its element.  An entry is a
+pure function of the skeleton, so one dict may serve any number of sources;
+:func:`orbit` shares one across its walk, where every orbit word is the
+target of many edges but is built, keyed and evaluated once, and every edge
+into it holds the same string.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 from .core import Element, evaluate, is_normalized
 from .errors import GEODESIC_CAP, ORBIT_CAP, GeodesicCapError, OrbitCapError
 from .geodesics import _count_geodesics, length, std_rep
-from .words import Word, format_word, free_reduce, is_reduced, word_sort_key
+from .words import Word, format_word, is_reduced, word_sort_key
 
 
 class MoveKind(enum.Enum):
@@ -63,166 +80,217 @@ class MoveEdge:
         }
 
 
-def _element(w: Word, memo: dict[Word, Element]) -> Element:
-    """``evaluate(w)``, computed at most once per memo."""
-    g = memo.get(w)
-    if g is None:
-        g = memo[w] = evaluate(w)
-    return g
+class _Entry(NamedTuple):
+    """A freely reduced word with its sort key, element and skeleton."""
+
+    word: Word
+    key: tuple[int, str]
+    element: Element
+    gaps: tuple[int, ...]
+    axes: tuple[int, ...]
+
+
+_A_LETTER = re.compile("([aA])")
+
+
+def _skeleton(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``(gaps, axes)`` of a freely reduced word (see the module
+    docstring); raises ValueError when ``w`` is unreduced or not a word."""
+    if not is_reduced(w):
+        raise ValueError("word is not freely reduced")
+    runs = _A_LETTER.split(w)
+    gaps = []
+    for run in runs[0::2]:
+        # In a reduced word a run between a-letters is all b or all B.
+        if not run.strip("b"):
+            gaps.append(len(run))
+        elif not run.strip("B"):
+            gaps.append(-len(run))
+        else:
+            raise ValueError(f"not a letter: {next(c for c in run if c not in 'bB')!r}")
+    return tuple(gaps), tuple(1 if c == "a" else -1 for c in runs[1::2])
+
+
+def _skeleton_element(gaps: tuple[int, ...], axes: tuple[int, ...]) -> Element:
+    """``evaluate(_build(gaps, axes))`` in closed form: gap i lies in a
+    column of parity i, and a b-step in an odd column moves (k, m) by
+    (+1, −1) where one in an even column moves m by +1."""
+    odd = sum(gaps[1::2])
+    return Element(odd, sum(gaps[0::2]) - odd, sum(axes))
+
+
+def _build(gaps, axes) -> Word:
+    """The word a skeleton spells (unreduced when a zero gap sits between
+    opposite a-letters)."""
+    runs = ["b" * gap if gap >= 0 else "B" * -gap for gap in gaps]
+    return runs[0] + "".join(
+        ("a" if axis > 0 else "A") + run for axis, run in zip(axes, runs[1:])
+    )
+
+
+def _remember(
+    word: Word, gaps: tuple, axes: tuple, element: Element, memo: dict
+) -> _Entry:
+    entry = _Entry(word, word_sort_key(word), element, gaps, axes)
+    memo[word] = memo[gaps, axes] = entry
+    return entry
+
+
+def _entry(w: Word, memo: dict) -> _Entry:
+    """The memo entry of a source word, made on first sight."""
+    entry = memo.get(w)
+    if entry is None:
+        gaps, axes = _skeleton(w)
+        entry = _remember(w, gaps, axes, _skeleton_element(gaps, axes), memo)
+    return entry
 
 
 def _validated(
-    w: Word,
-    cand: Word,
+    source: _Entry,
+    gaps: tuple[int, ...],
+    axes: tuple[int, ...],
     kind: MoveKind,
     site: str,
-    g: Element,
-    memo: dict[Word, Element],
+    memo: dict,
 ) -> MoveEdge | None:
-    """Admit a candidate only if it preserves length, reducedness, and the
-    element ``g == evaluate(w)``; a candidate's element comes from ``memo``."""
-    if cand == w or len(cand) != len(w):
-        return None
-    if not is_reduced(cand):
-        return None
-    if _element(cand, memo) != g:
-        return None
-    return MoveEdge(source=w, target=cand, kind=kind, site=site)
+    """Admit a candidate skeleton only if it is not the source's, spells a
+    word of the source's length, spells a freely reduced word and has the
+    source's element.
 
-
-def _gaps_axes(w: Word) -> tuple[list[int], list[int]]:
-    """Split a word into signed b-runs around its a-letters.
-
-    Returns (gaps, axes): ``axes[i]`` is ±1 per a-letter in order, and
-    ``gaps[i]`` is the signed b-exponent before the i-th a-letter, with
-    ``gaps[-1]`` the tail run (so ``len(gaps) == len(axes) + 1``).
+    A skeleton already in ``memo`` passed the reducedness check when it was
+    entered, so only its length and element are compared; a new one is
+    checked in full, and its word is built and entered only once admitted.
     """
-    gaps = [0]
-    axes: list[int] = []
-    for c in w:
-        if c == "a" or c == "A":
-            axes.append(1 if c == "a" else -1)
-            gaps.append(0)
-        elif c == "b":
-            gaps[-1] += 1
-        elif c == "B":
-            gaps[-1] -= 1
-        else:
-            raise ValueError(f"not a letter: {c!r}")
-    return gaps, axes
+    target = memo.get((gaps, axes))
+    if target is None:
+        if len(axes) + sum(map(abs, gaps)) != len(source.word):
+            return None
+        for i in range(1, len(axes)):
+            if not gaps[i] and axes[i - 1] != axes[i]:
+                return None
+        element = _skeleton_element(gaps, axes)
+        if element != source.element:
+            return None
+        target = _remember(_build(gaps, axes), gaps, axes, element, memo)
+    elif (
+        target is source
+        or len(target.word) != len(source.word)
+        or target.element != source.element
+    ):
+        return None
+    return MoveEdge(source.word, target.word, kind, site)
 
 
-def _build(gaps: list[int], axes: list[int]) -> Word:
-    """Inverse of :func:`_gaps_axes`; the result may be unreduced."""
-    parts = []
-    for i, axis in enumerate(axes):
-        parts.append(_b_run(gaps[i]))
-        parts.append("a" if axis > 0 else "A")
-    parts.append(_b_run(gaps[-1]))
-    return "".join(parts)
+def _a_offsets(gaps: tuple[int, ...]) -> list[int]:
+    """The string offset of each a-letter of the word ``gaps`` frames."""
+    offsets = []
+    at = -1
+    for gap in gaps[:-1]:
+        at += abs(gap) + 1
+        offsets.append(at)
+    return offsets
 
 
-def _b_run(signed: int) -> str:
-    return "b" * signed if signed >= 0 else "B" * (-signed)
+def castling_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
+    """Slide a b-letter across a doubled a-letter: x x y ↔ y x x.
 
-
-def castling_neighbors(
-    w: Word, *, memo: dict[Word, Element] | None = None
-) -> list[MoveEdge]:
-    """Slide a b-letter across a doubled a-letter: x x y ↔ y x x."""
+    A doubled a-letter is a pair j, j + 1 of equal axes with an empty gap
+    j + 1 between them.  The slide moves one b-step of the run before the
+    pair (gap j) to the run after it (gap j + 2), or back; its site is the
+    offset of the three-letter window.  Candidates come in window order.
+    """
     if memo is None:
         memo = {}
-    g = _element(w, memo)
+    source = _entry(w, memo)
+    gaps, axes = source.gaps, source.axes
+    offsets = _a_offsets(gaps)
     edges = []
-    for i in range(len(w) - 2):
-        x1, x2, x3 = w[i], w[i + 1], w[i + 2]
-        cand = None
-        if x1 == x2 and x1 in "aA" and x3 in "bB":
-            cand = w[:i] + x3 + x1 + x2 + w[i + 3 :]
-        elif x2 == x3 and x2 in "aA" and x1 in "bB":
-            cand = w[:i] + x2 + x3 + x1 + w[i + 3 :]
-        if cand is not None:
-            edge = _validated(w, cand, MoveKind.EVEN_CASTLING, f"@{i}", g, memo)
+    for j in range(len(axes) - 1):
+        if gaps[j + 1] or axes[j] != axes[j + 1]:
+            continue
+        # (window offset, b-step moved from gap j to gap j + 2)
+        slides = []
+        if gaps[j]:
+            slides.append((offsets[j] - 1, 1 if gaps[j] > 0 else -1))
+        if gaps[j + 2]:
+            slides.append((offsets[j], -1 if gaps[j + 2] > 0 else 1))
+        for at, step in slides:
+            new = list(gaps)
+            new[j] -= step
+            new[j + 2] += step
+            edge = _validated(
+                source, tuple(new), axes, MoveKind.EVEN_CASTLING, f"@{at}", memo
+            )
             if edge is not None:
                 edges.append(edge)
     return edges
 
 
-def detowering_neighbors(
-    w: Word, *, memo: dict[Word, Element] | None = None
-) -> list[MoveEdge]:
+_SIGN = {-1: "-", 1: "+"}
+
+
+def detowering_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
     """Shift two distinct a-letters across one adjacent b-step each.
 
     Shifting a-letter i by d moves d signed b-steps from the run after it to
-    the run before it.  With x_i = sum(axes[:i]) the column before the letter
-    and σ_i = (−1)^{x_i}, that changes (k, m) by exactly d·σ_i·(−1, +2), so a
-    pair of shifts (d_i, d_j) keeps the element iff d_i·σ_i + d_j·σ_j = 0:
-    d_i = ±1 and d_j = −d_i·σ_i·σ_j.  A lone shift never keeps it.  A built
-    candidate has len(axes) + Σ|gaps| letters, so a pair that changes the
-    length is dropped from the ≤ 4 gaps it touches, before any string is
-    built.  Candidates come in the order (i, j, d_i), i < j, d_i = −1 first.
+    the run before it.  Gap i lies in a column of parity i, so with
+    σ_i = (−1)^i that changes (k, m) by exactly d·σ_i·(−1, +2), and a pair
+    of shifts (d_i, d_j) keeps the element iff d_i·σ_i + d_j·σ_j = 0:
+    d_i = ±1 and d_j = −d_i·σ_i·σ_j.  A lone shift never keeps it.  A
+    candidate spells len(axes) + Σ|gaps| letters, so a pair that changes
+    that sum is dropped from the ≤ 4 gaps it touches.  Candidates come in
+    the order (i, j, d_i), i < j, d_i = −1 first.
 
-    Partners are found without scanning every pair.  Adjacent letters sit in
-    columns of opposite parity, so j = i + 1 always has d_j = d_i: the
-    shared gap i + 1 keeps its run, and the pair moves a b-step from gap
-    i + 2 to gap i.  Shifts of letters further apart touch disjoint gaps, so
-    their length changes add: the partners of (i, d_i) are the j ≥ i + 2
-    with d_j·σ_j = −d_i·σ_i whose own change makes up the rest of the
-    slack.  Every shift is bucketed by (d_j·σ_j, grow_j(d_j)), so each
-    (i, d_i) finds its partners in one bucket.
+    Partners are found without scanning every pair.  Adjacent letters have
+    opposite σ, so j = i + 1 always has d_j = d_i: the shared gap i + 1
+    keeps its run, and the pair moves a b-step from gap i + 2 to gap i.
+    Shifts of letters further apart touch disjoint gaps, so their length
+    changes add: the partners of (i, d_i) are the j ≥ i + 2 with
+    d_j·σ_j = −d_i·σ_i whose own change cancels that of (i, d_i).  Every
+    shift is bucketed by (d_j·σ_j, grow_j(d_j)), so each (i, d_i) finds its
+    partners in one bucket.
     """
-    gaps, axes = _gaps_axes(w)
+    if memo is None:
+        memo = {}
+    source = _entry(w, memo)
+    gaps, axes = source.gaps, source.axes
     p = len(axes)
     if p < 2:
         return []
-    if memo is None:
-        memo = {}
-    g = _element(w, memo)
-    # The length change a surviving pair must make.
-    slack = len(w) - p - sum(map(abs, gaps))
-    sigma = []
-    x = 0
-    for axis in axes:
-        sigma.append(-1 if x & 1 else 1)
-        x += axis
-    # grow[i][d]: length change of shifting a-letter i alone by d = ±1.
-    grow = [
-        {
-            d: abs(gaps[i] + d) - abs(gaps[i]) + abs(gaps[i + 1] - d) - abs(gaps[i + 1])
-            for d in (-1, 1)
-        }
-        for i in range(p)
-    ]
-    # (d_j·σ_j, grow[j][d_j]) -> every such (j, d_j), ascending.
+    # step[d][t]: change of |gaps[t]| when d is added to gaps[t].
+    step = {d: [abs(gap + d) - abs(gap) for gap in gaps] for d in (-1, 1)}
+    # (d_j·σ_j, length change of shifting a-letter j alone by d_j) -> every
+    # such (j, d_j), ascending.
     buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for j in range(p):
         for d in (-1, 1):
-            buckets.setdefault((d * sigma[j], grow[j][d]), []).append((j, d))
+            grow = step[d][j] + step[-d][j + 1]
+            buckets.setdefault((-d if j & 1 else d, grow), []).append((j, d))
     edges = []
     for i in range(p - 1):
-        # (j, d_i, d_j) of every pair whose length change is the slack.
+        # (j, d_i, d_j) of every pair that keeps the length.
         pairs = []
-        before, after = gaps[i], gaps[i + 2]
         for di in (-1, 1):
-            if abs(before + di) - abs(before) + abs(after - di) - abs(after) == slack:
+            if step[di][i] + step[-di][i + 2] == 0:
                 pairs.append((i + 1, di, di))
-            partners = buckets.get((-di * sigma[i], slack - grow[i][di]))
+            grow = step[di][i] + step[-di][i + 1]
+            partners = buckets.get((di if i & 1 else -di, -grow))
             if partners:
                 first = bisect_right(partners, (i + 1, 1))
                 pairs.extend((j, di, dj) for j, dj in partners[first:])
         pairs.sort()
         for j, di, dj in pairs:
-            new_gaps = list(gaps)
-            new_gaps[i] += di
-            new_gaps[i + 1] -= di
-            new_gaps[j] += dj
-            new_gaps[j + 1] -= dj
+            new = list(gaps)
+            new[i] += di
+            new[i + 1] -= di
+            new[j] += dj
+            new[j + 1] -= dj
             edge = _validated(
-                w,
-                _build(new_gaps, axes),
+                source,
+                tuple(new),
+                axes,
                 MoveKind.DETOWERING,
-                f"a{i}{'+' if di > 0 else '-'}|a{j}{'+' if dj > 0 else '-'}",
-                g,
+                f"a{i}{_SIGN[di]}|a{j}{_SIGN[dj]}",
                 memo,
             )
             if edge is not None:
@@ -230,72 +298,67 @@ def detowering_neighbors(
     return edges
 
 
-def _transposition_sites(w: Word) -> list[tuple[int, int, Word]]:
-    """Single a/b transpositions with their unit area shift.
+def clipping_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
+    """Relocate boundary cells: cancelling transposition pairs + reflections.
 
-    A window holding one a-letter and one b-letter is rewritten by swapping
-    the two and inverting the b-letter; the element changes by exactly one
-    unit of the central coordinate (−1 when the b-letter is b, +1 when it is
-    b⁻¹), so only cancelling pairs of these can ever validate.
+    A transposition swaps an a-letter with the b-letter beside it and
+    inverts the b-letter; either way both gaps around a-letter j gain −s
+    for a b-letter of sign s, which shifts the element by −s units of the
+    central coordinate.  So only pairs of non-overlapping windows with
+    opposite shifts are built, in window order.  A reflection swaps two
+    adjacent opposite axes.
     """
-    sites = []
-    for i in range(len(w) - 1):
-        u, v = w[i], w[i + 1]
-        if u in "aA" and v in "bB":
-            window = v.swapcase() + u
-            shift = -1 if v == "b" else 1
-        elif u in "bB" and v in "aA":
-            window = v + u.swapcase()
-            shift = -1 if u == "b" else 1
-        else:
-            continue
-        sites.append((i, shift, window))
-    return sites
-
-
-def clipping_neighbors(
-    w: Word, *, memo: dict[Word, Element] | None = None
-) -> list[MoveEdge]:
-    """Relocate boundary cells: cancelling transposition pairs + reflections."""
     if memo is None:
         memo = {}
-    g = _element(w, memo)
+    source = _entry(w, memo)
+    gaps, axes = source.gaps, source.axes
+    # Transposition windows in string order: (offset, a-letter, shift).
+    windows = []
+    for j, at in enumerate(_a_offsets(gaps)):
+        if gaps[j]:  # b-letter, a-letter
+            windows.append((at - 1, j, -1 if gaps[j] > 0 else 1))
+        if gaps[j + 1]:  # a-letter, b-letter
+            windows.append((at, j, -1 if gaps[j + 1] > 0 else 1))
+    by_shift = {s: [(at, j) for at, j, shift in windows if shift == s] for s in (-1, 1)}
     edges = []
-    sites = _transposition_sites(w)
-    for s1 in range(len(sites)):
-        i1, shift1, window1 = sites[s1]
-        for s2 in range(s1 + 1, len(sites)):
-            i2, shift2, window2 = sites[s2]
-            if i2 < i1 + 2:
-                continue  # overlapping windows interfere
-            if shift1 + shift2 != 0:
-                continue
-            cand = (
-                w[:i1] + window1 + w[i1 + 2 : i2] + window2 + w[i2 + 2 :]
+    for at1, j1, shift in windows:
+        partners = by_shift[-shift]
+        # Windows overlap unless the second starts two letters on.
+        for at2, j2 in partners[bisect_left(partners, (at1 + 2,)) :]:
+            new = list(gaps)
+            new[j1] += shift
+            new[j1 + 1] += shift
+            new[j2] -= shift
+            new[j2 + 1] -= shift
+            edge = _validated(
+                source, tuple(new), axes, MoveKind.CLIPPING, f"@{at1}+@{at2}", memo
             )
-            edge = _validated(w, cand, MoveKind.CLIPPING, f"@{i1}+@{i2}", g, memo)
             if edge is not None:
                 edges.append(edge)
-    gaps, axes = _gaps_axes(w)
-    for i in range(len(axes) - 1):
-        if axes[i] == -axes[i + 1]:
-            new_axes = list(axes)
-            new_axes[i], new_axes[i + 1] = new_axes[i + 1], new_axes[i]
-            cand = _build(gaps, new_axes)
-            edge = _validated(w, cand, MoveKind.CLIPPING, f"reflect@a{i}", g, memo)
+    for j in range(len(axes) - 1):
+        if axes[j] != axes[j + 1]:
+            edge = _validated(
+                source,
+                gaps,
+                axes[:j] + (axes[j + 1], axes[j]) + axes[j + 2 :],
+                MoveKind.CLIPPING,
+                f"reflect@a{j}",
+                memo,
+            )
             if edge is not None:
                 edges.append(edge)
     return edges
 
 
-def neighbors(w: Word, *, memo: dict[Word, Element] | None = None) -> list[MoveEdge]:
+def neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
     """All validated moves from ``w``, canonically ordered.
 
     Edges are sorted by (target, kind, site).  No two edges share that key:
     a family never repeats a site (castling names one window, detowering one
     pair of shifts, clipping one pair of windows or one reflection), and the
     families have different kinds.  So the order is total and no edge needs
-    to be dropped as a duplicate.  ``memo`` is passed on to the families.
+    to be dropped as a duplicate.  ``memo`` is passed on to the families,
+    and the targets' sort keys are read from it.
     """
     if memo is None:
         memo = {}
@@ -304,8 +367,26 @@ def neighbors(w: Word, *, memo: dict[Word, Element] | None = None) -> list[MoveE
         + detowering_neighbors(w, memo=memo)
         + clipping_neighbors(w, memo=memo)
     )
-    out.sort(key=lambda e: (word_sort_key(e.target), e.kind.value, e.site))
+    out.sort(key=lambda e: (memo[e.target].key, e.kind.value, e.site))
     return out
+
+
+def _formatted(entry: _Entry) -> str:
+    """``format_word(entry.word)``, read from the skeleton: each nonzero gap
+    is a b-syllable, and the a-letters between two of them are one
+    a-syllable, since a reduced word has no zero gap between opposite
+    a-letters."""
+    gaps, axes = entry.gaps, entry.axes
+    syllables = []
+    start = 0  # the first a-letter after the last nonzero gap
+    for i in compress(range(len(gaps)), gaps):
+        if i > start:
+            syllables.append(("a", (i - start) * axes[start]))
+        syllables.append(("b", gaps[i]))
+        start = i
+    if len(axes) > start:
+        syllables.append(("a", (len(axes) - start) * axes[start]))
+    return " ".join(base if e == 1 else f"{base}^{e}" for base, e in syllables) or "e"
 
 
 def orbit(
@@ -315,17 +396,19 @@ def orbit(
 
     Every move preserves the evaluated element and the word length, so the
     orbit is a set of equal-length representatives of one element.  Raises
-    :class:`OrbitCapError` past ``cap`` words, the start word included.  The
-    walk runs :func:`neighbors` once on every orbit word; when ``edges`` is a
-    list, every edge it validates is appended to it, in walk order, so a
-    completed walk leaves there each orbit word's full neighbor list exactly
-    once.
+    ValueError when ``w`` is not freely reduced, and :class:`OrbitCapError`
+    past ``cap`` words, the start word included.  The walk runs
+    :func:`neighbors` once on every orbit word; when ``edges`` is a list,
+    every edge it validates is appended to it, in walk order, so a completed
+    walk leaves there each orbit word's full neighbor list exactly once.
 
-    One memo of ``evaluate`` (see the module docstring) serves the whole
-    walk: an orbit word is evaluated when it is first met as a candidate,
-    and every later edge into it, and its own turn as a source, reuse that.
+    One memo (see the module docstring) serves the whole walk: an orbit
+    word's string, sort key and element are made when it is first met as a
+    candidate, and every later edge into it, and its own turn as a source,
+    reuse them.
     """
-    memo: dict[Word, Element] = {}
+    memo: dict = {}
+    _entry(w, memo)
     seen = {w}
     if len(seen) > cap:
         raise OrbitCapError(f"orbit of {format_word(w)} exceeded cap={cap}")
@@ -344,8 +427,8 @@ def orbit(
                         raise OrbitCapError(
                             f"orbit of {format_word(w)} exceeded cap={cap}"
                         )
-        frontier = sorted(nxt, key=word_sort_key)
-    return sorted(seen, key=format_word)
+        frontier = sorted(nxt, key=lambda u: memo[u].key)
+    return sorted(seen, key=lambda u: _formatted(memo[u]))
 
 
 @dataclass(frozen=True)
@@ -548,9 +631,8 @@ def young_decomposition(w: Word) -> YoungDecomposition:
     Raises ValueError when the word is not geodesic or its element leaves
     the quadrant m >= 0, n >= 0 (apply the flip letter maps first).
     """
-    if free_reduce(w) != w:
-        raise ValueError("word is not freely reduced")
-    g = evaluate(w)
+    gaps, axes = _skeleton(w)
+    g = _skeleton_element(gaps, axes)
     if g.m < 0 or g.n < 0:
         raise ValueError(
             f"element {g.format()} is not normalized (need m >= 0, n >= 0)"
@@ -558,14 +640,13 @@ def young_decomposition(w: Word) -> YoungDecomposition:
     if len(w) != length(g):
         raise ValueError(f"word {format_word(w)!r} is not geodesic")
     k, m, n = g
-    gaps, axes = _gaps_axes(w)
     # The skeleton: n letters a, or the detour a^c … a^{-c} (two mirror
     # families, c = ±1) when n = 0 and k != 0.
     detour = n == 0 and k != 0
     if detour:
         if len(axes) != 2 or axes[0] != -axes[1]:
             raise ValueError("unexpected shape for a detour geodesic")
-    elif axes != [1] * n:
+    elif axes != (1,) * n:
         raise ValueError("unexpected shape for an x-monotone geodesic")
     return YoungDecomposition(
         element=g,

@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs seven commands through ``ckgeo.cli.main`` and checks each exit code
+Runs nine commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -21,7 +21,9 @@ from ckgeo import cli
 # that tests/test_cli.py pins; the orbit and first check-theorem2 digests were
 # recorded with it.  The render digest is that of tests/golden/std_m4_2_4.svg;
 # the next case has more geodesics than the default cap and prints nothing.
-# The last two run the rank-2 controls, klein and z2.
+# The next two run the rank-2 controls, klein and z2.  The JSON
+# check-theorem2 digest, recorded with the string move engine, pins every
+# edge's site and order; an unreduced orbit word exits 2 and prints nothing.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -57,6 +59,16 @@ CASES = [
         ["audit", "--model", "z2", "--radius", "8"],
         0,
         "1e66d9ba85825ad597e7969db5ddc6534687c00c33133d6d33f44f16d578457a",
+    ),
+    (
+        ["check-theorem2", "(-1,3,4)", "--json"],
+        0,
+        "61cde931b424fed7dd4b8fd24428ca207e53253deac2f14c93998242cb0ce3ab",
+    ),
+    (
+        ["orbit", "bBaa"],
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 ]
 

@@ -73,6 +73,11 @@ class TestOrbit:
         assert (rc, out) == (3, "")
         assert "cap=0" in err
 
+    def test_unreduced_word_exit_code(self, capsys):
+        rc, out, err = run(capsys, "orbit", "bBaa")
+        assert (rc, out) == (2, "")
+        assert "word is not freely reduced" in err
+
 
 class TestTheorem2:
     def test_text_line(self, capsys):

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ckgeo import moves
 from ckgeo.core import Element, evaluate, normalize_quadrant
@@ -22,7 +23,14 @@ from ckgeo.moves import (
     young_rectangle,
 )
 from ckgeo.oracle import build_ball
-from ckgeo.words import cyclic_shifts, format_word, is_reduced, word_sort_key
+from ckgeo.words import (
+    LetterMapKind,
+    apply_letter_map,
+    cyclic_shifts,
+    format_word,
+    is_reduced,
+    word_sort_key,
+)
 
 SEED = 58
 
@@ -31,12 +39,117 @@ def _targets(edges):
     return {e.target for e in edges}
 
 
+# The string engine the skeleton engine replaced, kept as its reference:
+# every candidate is spelled out and checked by evaluating it.
+
+
+def _gaps_axes(w):
+    """Signed b-runs around the a-letters of ``w``, letter by letter."""
+    gaps = [0]
+    axes = []
+    for c in w:
+        if c in "aA":
+            axes.append(1 if c == "a" else -1)
+            gaps.append(0)
+        else:
+            gaps[-1] += 1 if c == "b" else -1
+    return gaps, axes
+
+
+def _string_validated(w, g, cand, kind, site):
+    if cand != w and len(cand) == len(w) and is_reduced(cand) and evaluate(cand) == g:
+        return [MoveEdge(w, cand, kind, site)]
+    return []
+
+
+def _string_castling(w):
+    g = evaluate(w)
+    edges = []
+    for i in range(len(w) - 2):
+        x1, x2, x3 = w[i], w[i + 1], w[i + 2]
+        if x1 == x2 and x1 in "aA" and x3 in "bB":
+            cand = w[:i] + x3 + x1 + x2 + w[i + 3 :]
+        elif x2 == x3 and x2 in "aA" and x1 in "bB":
+            cand = w[:i] + x2 + x3 + x1 + w[i + 3 :]
+        else:
+            continue
+        edges += _string_validated(w, g, cand, MoveKind.EVEN_CASTLING, f"@{i}")
+    return edges
+
+
+def _string_detowering(w):
+    """Detowering with partners found in buckets (see detowering_neighbors),
+    each candidate spelled out."""
+    g = evaluate(w)
+    gaps, axes = _gaps_axes(w)
+    p = len(axes)
+    sigma = [1 - 2 * (i & 1) for i in range(p)]
+    grow = [
+        {
+            d: abs(gaps[i] + d) - abs(gaps[i]) + abs(gaps[i + 1] - d) - abs(gaps[i + 1])
+            for d in (-1, 1)
+        }
+        for i in range(p)
+    ]
+    buckets = {}
+    for j in range(p):
+        for d in (-1, 1):
+            buckets.setdefault((d * sigma[j], grow[j][d]), []).append((j, d))
+    edges = []
+    for i in range(p - 1):
+        pairs = []
+        before, after = gaps[i], gaps[i + 2]
+        for di in (-1, 1):
+            if abs(before + di) - abs(before) + abs(after - di) - abs(after) == 0:
+                pairs.append((i + 1, di, di))
+            pairs.extend(
+                (j, di, dj)
+                for j, dj in buckets.get((-di * sigma[i], -grow[i][di]), [])
+                if j > i + 1
+            )
+        for j, di, dj in sorted(pairs):
+            new_gaps = list(gaps)
+            new_gaps[i] += di
+            new_gaps[i + 1] -= di
+            new_gaps[j] += dj
+            new_gaps[j + 1] -= dj
+            site = f"a{i}{'+' if di > 0 else '-'}|a{j}{'+' if dj > 0 else '-'}"
+            edges += _string_validated(
+                w, g, moves._build(new_gaps, axes), MoveKind.DETOWERING, site
+            )
+    return edges
+
+
+def _string_clipping(w):
+    g = evaluate(w)
+    sites = []
+    for i in range(len(w) - 1):
+        u, v = w[i], w[i + 1]
+        if u in "aA" and v in "bB":
+            sites.append((i, -1 if v == "b" else 1, v.swapcase() + u))
+        elif u in "bB" and v in "aA":
+            sites.append((i, -1 if u == "b" else 1, v + u.swapcase()))
+    edges = []
+    for s1, (i1, shift1, window1) in enumerate(sites):
+        for i2, shift2, window2 in sites[s1 + 1 :]:
+            if i2 >= i1 + 2 and shift1 + shift2 == 0:
+                cand = w[:i1] + window1 + w[i1 + 2 : i2] + window2 + w[i2 + 2 :]
+                edges += _string_validated(w, g, cand, MoveKind.CLIPPING, f"@{i1}+@{i2}")
+    at = [i for i, c in enumerate(w) if c in "aA"]
+    for j in range(len(at) - 1):
+        if w[at[j]] != w[at[j + 1]]:
+            cand = list(w)
+            cand[at[j]], cand[at[j + 1]] = w[at[j + 1]], w[at[j]]
+            edges += _string_validated(w, g, "".join(cand), MoveKind.CLIPPING, f"reflect@a{j}")
+    return edges
+
+
 def _exhaustive_detowering(w):
     """Detowering as first written: all 8 shift pairs per pair of a-letters,
     each built and checked against the source's length and element."""
-    gaps, axes = moves._gaps_axes(w)
-    p = len(axes)
     g = evaluate(w)
+    gaps, axes = _gaps_axes(w)
+    p = len(axes)
     edges = []
     for i in range(p):
         for j in range(i + 1, p):
@@ -53,24 +166,33 @@ def _exhaustive_detowering(w):
                     # the other lengths before building keeps long words cheap.
                     if p + sum(map(abs, new_gaps)) != len(w):
                         continue
-                    cand = moves._build(new_gaps, axes)
-                    if (
-                        cand != w
-                        and len(cand) == len(w)
-                        and is_reduced(cand)
-                        and evaluate(cand) == g
-                    ):
-                        site = f"a{i}{'+' if di >= 0 else '-'}|a{j}{'+' if dj >= 0 else '-'}"
-                        edges.append(MoveEdge(w, cand, MoveKind.DETOWERING, site))
+                    site = f"a{i}{'+' if di >= 0 else '-'}|a{j}{'+' if dj >= 0 else '-'}"
+                    edges += _string_validated(
+                        w, g, moves._build(new_gaps, axes), MoveKind.DETOWERING, site
+                    )
     return edges
 
 
-def _reference_neighbors(w):
-    """neighbors() with the exhaustive detowering in place of the pruned one."""
-    out = {}
-    for e in castling_neighbors(w) + _exhaustive_detowering(w) + clipping_neighbors(w):
-        out.setdefault((e.target, e.kind, e.site), e)
-    return sorted(out.values(), key=lambda e: (word_sort_key(e.target), e.kind.value, e.site))
+def _sorted_edges(edges):
+    return sorted(edges, key=lambda e: (word_sort_key(e.target), e.kind.value, e.site))
+
+
+def _string_neighbors(w):
+    """neighbors() by the string families."""
+    return _sorted_edges(_string_castling(w) + _string_detowering(w) + _string_clipping(w))
+
+
+def _assert_engines_agree(w):
+    """Each family and neighbors() give the string engine's edges, in its
+    order.  The families reuse the memo neighbors() filled, as in orbit()."""
+    castling, detowering, clipping = (
+        _string_castling(w), _string_detowering(w), _string_clipping(w)
+    )
+    memo = {}
+    assert neighbors(w, memo=memo) == _sorted_edges(castling + detowering + clipping), w
+    assert castling_neighbors(w, memo=memo) == castling, w
+    assert detowering_neighbors(w, memo=memo) == detowering, w
+    assert clipping_neighbors(w, memo=memo) == clipping, w
 
 
 def _random_word(rng, low, high, reduced=False):
@@ -85,7 +207,7 @@ def _random_word(rng, low, high, reduced=False):
 
 def _reference_orbit(w):
     """The breadth-first walk of orbit(), with no memo shared between
-    neighbor calls and with the exhaustive detowering.  Returns the sorted
+    neighbor calls and with the string engine.  Returns the sorted
     words and every edge in walk order."""
     seen = {w}
     frontier = [w]
@@ -93,7 +215,7 @@ def _reference_orbit(w):
     while frontier:
         nxt = []
         for u in frontier:
-            found = _reference_neighbors(u)
+            found = _string_neighbors(u)
             edges.extend(found)
             for e in found:
                 if e.target not in seen:
@@ -147,17 +269,16 @@ class TestDetowering:
         checked = 0
         for key in sorted(ball8.distances):
             for w in enumerate_geodesics(ball8, Element(*key)):
+                _assert_engines_agree(w)
                 assert detowering_neighbors(w) == _exhaustive_detowering(w), w
-                assert neighbors(w) == _reference_neighbors(w), w
                 checked += 1
         assert checked == sum(geodesic_count(Element(*key)) for key in ball8.distances)
 
     def test_pruning_matches_exhaustive_search_off_geodesics(self):
-        # Unreduced and non-geodesic sources too: their b-runs may cancel
-        # inside, so the length budget differs from the gap sum.
+        # Reduced but mostly non-geodesic sources.
         rng = random.Random(SEED)
         for _ in range(500):
-            w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 11)))
+            w = _random_word(rng, 0, 11, reduced=True)
             assert detowering_neighbors(w) == _exhaustive_detowering(w), w
 
     def test_pruning_matches_exhaustive_search_on_long_a_heavy_words(self):
@@ -175,11 +296,9 @@ class TestDetowering:
             assert detowering_neighbors(w) == _exhaustive_detowering(w), g
 
     def test_pruning_matches_exhaustive_search_on_long_random_words(self):
-        # Half freely reduced (pure b-runs, slack 0), half arbitrary
-        # (mixed b-runs, nonzero slack).
         rng = random.Random(SEED)
-        for index in range(300):
-            w = _random_word(rng, 20, 60, reduced=index % 2 == 0)
+        for _ in range(150):
+            w = _random_word(rng, 20, 60, reduced=True)
             assert detowering_neighbors(w) == _exhaustive_detowering(w), w
 
 
@@ -224,27 +343,97 @@ class TestNeighbors:
                 assert is_geodesic(e.target)
 
     def test_shared_memo_matches_fresh_calls(self, ball8):
-        # One memo across many elements and all three families: the memo maps
-        # a word to its element, so no entry can leak between sources.
+        # One memo across many elements and all three families: an entry is a
+        # function of its skeleton, so no entry can leak between sources.
         from ckgeo.oracle import enumerate_geodesics
 
         rng = random.Random(SEED)
         keys = rng.sample(sorted(ball8.distances), 40)
         words = [w for key in keys for w in enumerate_geodesics(ball8, Element(*key))]
-        words += [_random_word(rng, 0, 14) for _ in range(100)]
+        words += [_random_word(rng, 0, 14, reduced=True) for _ in range(100)]
         assert len({evaluate(w) for w in words}) > 40
         memo = {}
         for w in words:
             assert neighbors(w, memo=memo) == neighbors(w), w
             for family in (castling_neighbors, detowering_neighbors, clipping_neighbors):
                 assert family(w, memo=memo) == family(w), (family.__name__, w)
-        assert memo and all(evaluate(u) == g for u, g in memo.items())
+        assert memo
+        for key, entry in memo.items():
+            assert key in (entry.word, (entry.gaps, entry.axes))
+            assert moves._skeleton(entry.word) == (entry.gaps, entry.axes)
+            assert entry.key == word_sort_key(entry.word)
+            assert entry.element == evaluate(entry.word)
 
     def test_edge_to_dict(self):
         e = neighbors("bbabbA")[0]
         d = e.to_dict()
         assert set(d) == {"source", "target", "kind", "site"}
         json.dumps(d)
+
+    def test_engines_agree_on_random_reduced_words(self):
+        rng = random.Random(SEED)
+        for _ in range(3000):
+            _assert_engines_agree(_random_word(rng, 0, 30, reduced=True))
+
+    @pytest.mark.parametrize(
+        "call",
+        [neighbors, castling_neighbors, detowering_neighbors, clipping_neighbors, orbit],
+    )
+    @pytest.mark.parametrize("w", ["bBaa", "aA", "abAbBa", "aaBaAbb"])
+    def test_unreduced_words_raise(self, call, w):
+        with pytest.raises(ValueError, match="word is not freely reduced"):
+            call(w)
+
+    def test_targets_commute_with_flip_maps(self):
+        # Each flip letter map is an isometry, so it carries the neighbours
+        # of w onto those of its image (the sites may differ).
+        rng = random.Random(SEED)
+        for _ in range(1000):
+            w = _random_word(rng, 0, 16, reduced=True)
+            for kind in LetterMapKind:
+                assert {apply_letter_map(kind, u) for u in _targets(neighbors(w))} == (
+                    _targets(neighbors(apply_letter_map(kind, w)))
+                ), (kind, w)
+
+
+class TestSkeleton:
+    @given(
+        st.lists(st.sampled_from((-1, 1)), max_size=40).flatmap(
+            lambda axes: st.tuples(
+                st.lists(st.integers(-50, 50), min_size=len(axes) + 1, max_size=len(axes) + 1),
+                st.just(axes),
+            )
+        )
+    )
+    def test_closed_form_element_is_evaluate(self, skeleton):
+        gaps, axes = skeleton
+        assert moves._skeleton_element(gaps, axes) == evaluate(moves._build(gaps, axes))
+
+    def test_skeleton_round_trip(self):
+        rng = random.Random(SEED)
+        for _ in range(500):
+            w = _random_word(rng, 0, 30, reduced=True)
+            gaps, axes = moves._skeleton(w)
+            assert moves._build(gaps, axes) == w
+            assert (list(gaps), list(axes)) == _gaps_axes(w)
+
+    def test_rejects_non_letters(self):
+        for w in ("abx", "xa", "a b"):
+            with pytest.raises(ValueError, match="not a letter"):
+                moves._skeleton(w)
+
+    def test_formatted_orbit_words_match_format_word(self, ball12):
+        # Every geodesic of the radius-10 ball, all quadrants: by Theorem 2
+        # these are the words of every orbit walked there.
+        from ckgeo.oracle import enumerate_geodesics
+
+        checked = 0
+        for key, dist in ball12.distances.items():
+            if dist <= 10:
+                for w in enumerate_geodesics(ball12, key):
+                    assert moves._formatted(moves._entry(w, {})) == format_word(w), w
+                    checked += 1
+        assert checked == 14877
 
 
 class TestOrbit:
@@ -311,9 +500,11 @@ _ORBIT_LONG_ELEMENTS = [
 
 
 class TestGoldenDigests:
-    """SHA-256 of move-engine outputs, recorded before each orbit walk shared
-    one memo of evaluate and detowering bucketed its partners; a change to
-    any edge, site, order or orbit shows here."""
+    """SHA-256 of move-engine outputs, recorded on the string engine: the
+    first two before each orbit walk shared one memo and detowering bucketed
+    its partners, the random-word one (over reduced words) before the engine
+    moved to skeleton coordinates.  A change to any edge, site, order or
+    orbit shows here."""
 
     def test_check_theorem2_on_radius_9_ball(self):
         ball = build_ball("ck", 9)
@@ -337,10 +528,10 @@ class TestGoldenDigests:
         rng = random.Random(2024)
         digest = hashlib.sha256()
         for _ in range(3000):
-            w = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 14)))
+            w = _random_word(rng, 0, 14, reduced=True)
             digest.update(json.dumps([e.to_dict() for e in neighbors(w)]).encode() + b"\n")
         assert digest.hexdigest() == (
-            "7f4412ef783478cc0d4769da6e7c2506ee6f77bb128b53d76e642a3e4a7518e3"
+            "a1a428bd04d6a517f1f9fb04e5963433258dd95d288ce47768c9519bb5e67f66"
         )
 
 
