@@ -116,6 +116,8 @@ def _cmd_check_theorem2(args: argparse.Namespace) -> int:
 
 
 def _cmd_ball(args: argparse.Namespace) -> int:
+    if args.out is not None and args.export is None:
+        raise ValueError("--out needs --export csv or --export jsonl")
     ball = build_ball(args.model, args.radius, max_states=args.max_states)
     if args.export is None:
         levels = ",".join(str(v) for v in ball.frontier_sizes)

@@ -44,16 +44,14 @@ into it holds the same string.
 from __future__ import annotations
 
 import enum
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import Element, evaluate, is_normalized
 from .errors import GEODESIC_CAP, ORBIT_CAP, GeodesicCapError, OrbitCapError
 from .geodesics import _count_geodesics, length, std_rep
-from .words import Word, format_word, is_reduced, word_sort_key
+from .words import Word, format_word, syllables, word_sort_key
 
 
 class MoveKind(enum.Enum):
@@ -62,8 +60,7 @@ class MoveKind(enum.Enum):
     CLIPPING = "clipping"
 
 
-@dataclass(frozen=True)
-class MoveEdge:
+class MoveEdge(NamedTuple):
     """One validated rewrite: ``source`` -> ``target`` by ``kind`` at ``site``."""
 
     source: Word
@@ -72,9 +69,12 @@ class MoveEdge:
     site: str
 
     def to_dict(self) -> dict:
+        return self._dict(format_word)
+
+    def _dict(self, spell: Callable[[Word], str]) -> dict:
         return {
-            "source": format_word(self.source),
-            "target": format_word(self.target),
+            "source": spell(self.source),
+            "target": spell(self.target),
             "kind": self.kind.value,
             "site": self.site,
         }
@@ -90,25 +90,24 @@ class _Entry(NamedTuple):
     axes: tuple[int, ...]
 
 
-_A_LETTER = re.compile("([aA])")
-
-
 def _skeleton(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The ``(gaps, axes)`` of a freely reduced word (see the module
-    docstring); raises ValueError when ``w`` is unreduced or not a word."""
-    if not is_reduced(w):
-        raise ValueError("word is not freely reduced")
-    runs = _A_LETTER.split(w)
-    gaps = []
-    for run in runs[0::2]:
-        # In a reduced word a run between a-letters is all b or all B.
-        if not run.strip("b"):
-            gaps.append(len(run))
-        elif not run.strip("B"):
-            gaps.append(-len(run))
+    docstring), folded from its syllables: a word is freely reduced iff no
+    two neighbouring syllables share a base.  Raises ValueError when ``w``
+    is unreduced or not a word."""
+    gaps = [0]
+    axes: list[int] = []
+    previous = None
+    for base, exponent in syllables(w):
+        if base == previous:
+            raise ValueError("word is not freely reduced")
+        previous = base
+        if base == "b":
+            gaps[-1] = exponent
         else:
-            raise ValueError(f"not a letter: {next(c for c in run if c not in 'bB')!r}")
-    return tuple(gaps), tuple(1 if c == "a" else -1 for c in runs[1::2])
+            axes += [1 if exponent > 0 else -1] * abs(exponent)
+            gaps += [0] * abs(exponent)
+    return tuple(gaps), tuple(axes)
 
 
 def _skeleton_element(gaps: tuple[int, ...], axes: tuple[int, ...]) -> Element:
@@ -371,24 +370,6 @@ def neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
     return out
 
 
-def _formatted(entry: _Entry) -> str:
-    """``format_word(entry.word)``, read from the skeleton: each nonzero gap
-    is a b-syllable, and the a-letters between two of them are one
-    a-syllable, since a reduced word has no zero gap between opposite
-    a-letters."""
-    gaps, axes = entry.gaps, entry.axes
-    syllables = []
-    start = 0  # the first a-letter after the last nonzero gap
-    for i in compress(range(len(gaps)), gaps):
-        if i > start:
-            syllables.append(("a", (i - start) * axes[start]))
-        syllables.append(("b", gaps[i]))
-        start = i
-    if len(axes) > start:
-        syllables.append(("a", (len(axes) - start) * axes[start]))
-    return " ".join(base if e == 1 else f"{base}^{e}" for base, e in syllables) or "e"
-
-
 def orbit(
     w: Word, *, cap: int = ORBIT_CAP, edges: list[MoveEdge] | None = None
 ) -> list[Word]:
@@ -428,7 +409,7 @@ def orbit(
                             f"orbit of {format_word(w)} exceeded cap={cap}"
                         )
         frontier = sorted(nxt, key=lambda u: memo[u].key)
-    return sorted(seen, key=lambda u: _formatted(memo[u]))
+    return sorted(seen, key=format_word)
 
 
 @dataclass(frozen=True)
@@ -445,6 +426,10 @@ class ConnectivityReport:
     edges: tuple[MoveEdge, ...]
 
     def to_dict(self) -> dict:
+        # Every orbit word is the source and target of many edges: spell
+        # each one once.
+        words = {e.source for e in self.edges} | {e.target for e in self.edges}
+        spell = {u: format_word(u) for u in words}.__getitem__
         return {
             "element": self.element.format(),
             "length": self.length,
@@ -453,7 +438,7 @@ class ConnectivityReport:
             "connected": self.connected,
             "missing": [format_word(u) for u in self.missing],
             "extra": [format_word(u) for u in self.extra],
-            "edges": [e.to_dict() for e in self.edges],
+            "edges": [e._dict(spell) for e in self.edges],
         }
 
 

@@ -25,7 +25,6 @@ Word = str
 
 LETTERS: str = "aAbB"
 _RANK = {letter: index for index, letter in enumerate(LETTERS)}
-_BASE = {"a": "a", "A": "a", "b": "b", "B": "b"}
 
 #: Guard against accidentally materializing astronomically long words from a
 #: single ``x^huge`` token.
@@ -44,14 +43,6 @@ def inverse_letter(c: Letter) -> Letter:
     if not is_letter(c):
         raise ValueError(f"not a letter: {c!r}")
     return c.swapcase()
-
-
-def letter_base(c: Letter) -> str:
-    """The generator axis of a letter: ``'a'`` or ``'b'``."""
-    try:
-        return _BASE[c]
-    except KeyError:
-        raise ValueError(f"not a letter: {c!r}") from None
 
 
 #: Letters as digits that compare in canonical order, so a translated word
@@ -101,20 +92,29 @@ def parse_word(text: str) -> Word:
     return "".join(out)
 
 
+_RUN = re.compile("a+|A+|b+|B+")
+
+
+def _runs(w: Word) -> list[str]:
+    """The maximal runs of one letter that make up ``w``, in order.
+
+    Raises ValueError naming the first character that is not a letter.
+    """
+    runs = _RUN.findall(w)
+    if sum(map(len, runs)) != len(w):
+        raise ValueError(f"not a letter: {next(c for c in w if c not in _RANK)!r}")
+    return runs
+
+
 def syllables(w: Word) -> list[tuple[str, int]]:
     """Run-length view: maximal runs as ``(base, signed_exponent)`` pairs.
 
     ``"BBaBB"`` -> ``[("b", -2), ("a", 1), ("b", -2)]``.
     """
-    out: list[tuple[str, int]] = []
-    for c in w:
-        base = letter_base(c)
-        step = 1 if c.islower() else -1
-        if out and out[-1][0] == base and (out[-1][1] > 0) == (step > 0):
-            out[-1] = (base, out[-1][1] + step)
-        else:
-            out.append((base, step))
-    return out
+    return [
+        (run[0], len(run)) if run[0] in "ab" else (run[0].lower(), -len(run))
+        for run in _runs(w)
+    ]
 
 
 def from_syllables(parts: Iterable[tuple[str, int]]) -> Word:
@@ -135,8 +135,12 @@ def format_word(w: Word) -> str:
     if not w:
         return "e"
     parts = []
-    for base, exponent in syllables(w):
-        parts.append(base if exponent == 1 else f"{base}^{exponent}")
+    for run in _runs(w):
+        c = run[0]
+        if c in "ab":
+            parts.append(c if len(run) == 1 else f"{c}^{len(run)}")
+        else:
+            parts.append(f"{c.lower()}^-{len(run)}")
     return " ".join(parts)
 
 

@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs nine commands through ``ckgeo.cli.main`` and checks each exit code
+Runs eleven commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -13,7 +13,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
+import tempfile
 
 from ckgeo import cli
 
@@ -24,6 +26,8 @@ from ckgeo import cli
 # The next two run the rank-2 controls, klein and z2.  The JSON
 # check-theorem2 digest, recorded with the string move engine, pins every
 # edge's site and order; an unreduced orbit word exits 2 and prints nothing.
+# The std digest, recorded with the per-letter formatter, is that of
+# "a^10000000"; ``--out`` without ``--export`` exits 2 and prints nothing.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -67,6 +71,16 @@ CASES = [
     ),
     (
         ["orbit", "bBaa"],
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["std", "(0,0,10000000)"],
+        0,
+        "1733d7da6ae9ddca38ebc91fc6f39703f7ec55dc0ea0c43c73173facd71cb8b6",
+    ),
+    (
+        ["ball", "2", "--out", os.path.join(tempfile.gettempdir(), "ckgeo-smoke-ball.csv")],
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),

@@ -36,6 +36,11 @@ class TestEvalLenStd:
         rc, out, _ = run(capsys, "std", "(0,0,0)")
         assert (rc, out) == (0, "e\n")
 
+    def test_std_long_power(self, capsys):
+        # One ten-million-letter run is formatted in one scan, not per letter.
+        rc, out, _ = run(capsys, "std", "(0,0,10000000)")
+        assert (rc, out) == (0, "a^10000000\n")
+
     def test_continuations(self, capsys):
         rc, out, _ = run(capsys, "continuations", "(3,0,0)")
         assert (rc, out) == (0, "b\n")
@@ -141,6 +146,19 @@ class TestBall:
         rc, out, _ = run(capsys, "ball", "1", "--export", "csv", "--out", str(target))
         assert rc == 0
         assert target.read_text().startswith("k,m,n,distance\n")
+
+    def test_out_without_export_rejected_before_any_ball(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("no ball may be built")
+
+        monkeypatch.setattr(cli, "build_ball", no_ball)
+        target = tmp_path / "ball.csv"
+        rc, out, err = run(capsys, "ball", "2", "--out", str(target))
+        assert (rc, out) == (2, "")
+        assert "--export" in err
+        assert not target.exists()
 
     def test_other_models(self, capsys):
         rc, out, _ = run(capsys, "ball", "10", "--model", "klein")

@@ -422,18 +422,13 @@ class TestSkeleton:
             with pytest.raises(ValueError, match="not a letter"):
                 moves._skeleton(w)
 
-    def test_formatted_orbit_words_match_format_word(self, ball12):
-        # Every geodesic of the radius-10 ball, all quadrants: by Theorem 2
-        # these are the words of every orbit walked there.
-        from ckgeo.oracle import enumerate_geodesics
-
-        checked = 0
-        for key, dist in ball12.distances.items():
-            if dist <= 10:
-                for w in enumerate_geodesics(ball12, key):
-                    assert moves._formatted(moves._entry(w, {})) == format_word(w), w
-                    checked += 1
-        assert checked == 14877
+    @given(st.text(alphabet="aAbB", max_size=30))
+    def test_rejects_exactly_the_unreduced_words(self, w):
+        if is_reduced(w):
+            assert moves._build(*moves._skeleton(w)) == w
+        else:
+            with pytest.raises(ValueError, match="word is not freely reduced"):
+                moves._skeleton(w)
 
 
 class TestOrbit:

@@ -23,6 +23,28 @@ from ckgeo.words import (
 words_st = st.text(alphabet=LETTERS, max_size=60)
 
 
+def _reference_syllables(w):
+    """Run-length view built letter by letter, the reference for
+    ``syllables`` and ``format_word``, which read whole runs."""
+    bases = {"a": "a", "A": "a", "b": "b", "B": "b"}
+    out = []
+    for c in w:
+        if c not in bases:
+            raise ValueError(f"not a letter: {c!r}")
+        base = bases[c]
+        step = 1 if c.islower() else -1
+        if out and out[-1][0] == base and (out[-1][1] > 0) == (step > 0):
+            out[-1] = (base, out[-1][1] + step)
+        else:
+            out.append((base, step))
+    return out
+
+
+def _reference_format(w):
+    parts = [base if e == 1 else f"{base}^{e}" for base, e in _reference_syllables(w)]
+    return " ".join(parts) or "e"
+
+
 class TestParse:
     def test_plain_letters(self):
         assert parse_word("abAB") == "abAB"
@@ -152,6 +174,22 @@ class TestSyllables:
     def test_empty(self):
         assert syllables("") == []
         assert from_syllables([]) == ""
+
+    @given(words_st)
+    def test_matches_per_letter_reference(self, w):
+        assert syllables(w) == _reference_syllables(w)
+        assert format_word(w) == _reference_format(w)
+
+    @given(words_st, st.characters().filter(lambda c: c not in LETTERS), st.integers(min_value=0))
+    def test_bad_letter_message_matches_reference(self, w, junk, where):
+        i = where % (len(w) + 1)
+        w = w[:i] + junk + w[i:]
+        with pytest.raises(ValueError) as expected:
+            _reference_syllables(w)
+        for call in (syllables, format_word):
+            with pytest.raises(ValueError) as got:
+                call(w)
+            assert str(got.value) == str(expected.value) == f"not a letter: {junk!r}"
 
 
 class TestLetterMaps:
