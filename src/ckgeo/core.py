@@ -42,13 +42,13 @@ class Element(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "Element":
-        """Parse ``"(k,m,n)"`` (parentheses and whitespace optional)."""
+        """Parse ``"(k,m,n)"``: both parentheses or neither, whitespace optional."""
         match = re.fullmatch(
-            r"\s*\(?\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)?\s*", text
+            r"\s*(\()?\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*(?(1)\))\s*", text
         )
         if match is None:
             raise ParseError(f"expected an element like (k,m,n), got {text!r}")
-        return cls(int(match.group(1)), int(match.group(2)), int(match.group(3)))
+        return cls(int(match.group(2)), int(match.group(3)), int(match.group(4)))
 
     def to_dict(self) -> dict[str, int]:
         return {"k": self.k, "m": self.m, "n": self.n}
@@ -66,11 +66,6 @@ GENERATORS: dict[Letter, Element] = {
     "b": Element(0, 1, 0),
     "B": Element(0, -1, 0),
 }
-
-
-def par(n: int) -> int:
-    """Parity of ``n`` as a nonnegative bit (par(−1) == 1)."""
-    return n & 1
 
 
 def multiply(g: Element, h: Element) -> Element:

@@ -37,6 +37,15 @@ def load_backend(name: str) -> ModuleType:
 _State = tuple[int, int, int]
 
 
+def _over_budget(max_states: int, states: int, d: int) -> BallBudgetError:
+    """The error for ``states`` states at radius ``d`` (0: the identity alone)."""
+    return BallBudgetError(
+        f"ball construction exceeded max_states={max_states} at radius {d}",
+        states=states,
+        levels_completed=max(d - 1, 0),
+    )
+
+
 def ck_ball(
     radius: int, max_states: int = MAX_STATES
 ) -> tuple[dict[tuple[int, int, int], int], list[int]]:
@@ -48,6 +57,8 @@ def ck_ball(
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if max_states < 1:
+        raise _over_budget(max_states, 1, 0)
     dist: dict[tuple[int, int, int], int] = {(0, 0, 0): 0}
     frontier: list[tuple[int, int, int]] = [(0, 0, 0)]
     levels = [1]
@@ -73,12 +84,7 @@ def ck_ball(
                     dist[state] = d
                     nxt.append(state)
         if len(dist) > max_states:
-            raise BallBudgetError(
-                f"ball construction exceeded max_states={max_states}"
-                f" at radius {d}",
-                states=len(dist),
-                levels_completed=d - 1,
-            )
+            raise _over_budget(max_states, len(dist), d)
         frontier = nxt
         levels.append(len(nxt))
     return dist, levels
@@ -90,6 +96,8 @@ def _rank2_ball(
     """Shared BFS for the two rank-2 models on states (m, n)."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if max_states < 1:
+        raise _over_budget(max_states, 1, 0)
     dist: dict[tuple[int, int], int] = {(0, 0): 0}
     frontier: list[tuple[int, int]] = [(0, 0)]
     levels = [1]
@@ -103,12 +111,7 @@ def _rank2_ball(
                     dist[state] = d
                     nxt.append(state)
         if len(dist) > max_states:
-            raise BallBudgetError(
-                f"ball construction exceeded max_states={max_states}"
-                f" at radius {d}",
-                states=len(dist),
-                levels_completed=d - 1,
-            )
+            raise _over_budget(max_states, len(dist), d)
         frontier = nxt
         levels.append(len(nxt))
     return dist, levels

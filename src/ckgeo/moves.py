@@ -378,10 +378,12 @@ def orbit(
     Every move preserves the evaluated element and the word length, so the
     orbit is a set of equal-length representatives of one element.  Raises
     ValueError when ``w`` is not freely reduced, and :class:`OrbitCapError`
-    past ``cap`` words, the start word included.  The walk runs
-    :func:`neighbors` once on every orbit word; when ``edges`` is a list,
-    every edge it validates is appended to it, in walk order, so a completed
-    walk leaves there each orbit word's full neighbor list exactly once.
+    past ``cap`` words, the start word included; a geodesic ``w`` whose
+    element has more than ``cap`` geodesics raises before the walk starts.
+    The walk runs :func:`neighbors` once on every orbit word; when ``edges``
+    is a list, every edge it validates is appended to it, in walk order, so
+    a completed walk leaves there each orbit word's full neighbor list
+    exactly once.
 
     One memo (see the module docstring) serves the whole walk: an orbit
     word's string, sort key and element are made when it is first met as a
@@ -389,9 +391,13 @@ def orbit(
     reuse them.
     """
     memo: dict = {}
-    _entry(w, memo)
+    start = _entry(w, memo).element
     seen = {w}
-    if len(seen) > cap:
+    # A geodesic's orbit is every geodesic of its element (Theorem 2), so a
+    # closed-form count past the cap decides the walk's outcome up front.
+    if len(seen) > cap or (
+        len(w) == length(start) and _capped_geodesic_count(start, cap) > cap
+    ):
         raise OrbitCapError(f"orbit of {format_word(w)} exceeded cap={cap}")
     frontier = [w]
     while frontier:

@@ -14,7 +14,7 @@ from typing import IO, Hashable, Iterator, Mapping
 
 from . import kernels
 from .core import Element, right_neighbors
-from .errors import GEODESIC_CAP, MAX_STATES, GeodesicCapError
+from .errors import GEODESIC_CAP, MAX_STATES
 from .geodesics import closed_ball_elements, length, std_rep
 from .models import GroupModel, get_model
 from .words import (
@@ -45,18 +45,6 @@ class BallIndex:
 
     def __len__(self) -> int:
         return len(self.distances)
-
-    def __contains__(self, state: Hashable) -> bool:
-        return state in self.distances
-
-    def distance(self, state: Hashable) -> int:
-        try:
-            return self.distances[state]
-        except KeyError:
-            raise ValueError(
-                f"state {state!r} is not covered by the radius-{self.radius}"
-                f" ball of {self.model}; rebuild with a larger radius"
-            ) from None
 
     def states_sorted(self) -> list[tuple[Hashable, int]]:
         """(state, distance) pairs ordered by distance, then coordinates."""
@@ -104,47 +92,19 @@ def build_ball(
     )
 
 
-def exact_length(ball: BallIndex, g: Hashable) -> int:
-    """BFS distance of a state; raises if the ball does not cover it."""
-    return ball.distance(tuple(g))
-
-
 def enumerate_geodesics(
     ball: BallIndex, g: Hashable, *, cap: int = GEODESIC_CAP
 ) -> list[Word]:
-    """All geodesic words for a covered state, canonically sorted.
+    """All geodesic words for a covered element of cK, canonically sorted.
 
-    For the central extension the kernel enumerates level by level over the
-    geodesic interval; the rank-2 models peel letters off the right.
-    Raises :class:`GeodesicCapError` when more than ``cap`` words exist.
+    The kernel enumerates level by level over the geodesic interval (see
+    :func:`ckgeo.kernels.ck_geodesics`).  Raises ``ValueError`` on a ball of
+    another model or a state the ball does not cover, and
+    :class:`ckgeo.errors.GeodesicCapError` when more than ``cap`` words exist.
     """
-    state = tuple(g)
-    if ball.model == "ck":
-        return kernels.ck_geodesics(ball.distances, state, cap)
-    neighbors = get_model(ball.model).neighbors
-    total = ball.distance(state)
-    out: list[Word] = []
-    suffix: list[str] = []
-
-    def peel(s: Hashable, remaining: int) -> None:
-        if remaining == 0:
-            if len(out) >= cap:
-                raise GeodesicCapError(
-                    f"geodesic enumeration for {state} exceeded cap={cap}"
-                )
-            out.append("".join(reversed(suffix)))
-            return
-        # s·x⁻¹ is the neighbour by x⁻¹: s·A, s·a, s·B, s·b for x = a, A, b, B.
-        by_a, by_A, by_b, by_B = neighbors(s)
-        for letter, h in (("a", by_A), ("A", by_a), ("b", by_B), ("B", by_b)):
-            if ball.distances.get(h, -1) == remaining - 1:
-                suffix.append(letter)
-                peel(h, remaining - 1)
-                suffix.pop()
-
-    peel(state, total)
-    out.sort(key=word_sort_key)
-    return out
+    if ball.model != "ck":
+        raise ValueError("geodesic enumeration is specific to the ck model")
+    return kernels.ck_geodesics(ball.distances, tuple(g), cap)
 
 
 @dataclass(frozen=True)
@@ -187,7 +147,7 @@ class AuditReport:
         }
 
 
-def audit_dead_ends(ball: BallIndex, *, deep: bool = False) -> AuditReport:
+def audit_dead_ends(ball: BallIndex) -> AuditReport:
     """Scan a ball for dead-end candidates.
 
     A state at distance d < radius is a candidate when no generator step
@@ -197,8 +157,6 @@ def audit_dead_ends(ball: BallIndex, *, deep: bool = False) -> AuditReport:
     closed-form :func:`ckgeo.geodesics.is_dead_end` verdict is cross-checked
     on every certified state; any disagreement between the two routes is
     reported as a candidate.
-    ``deep`` also records, per level, how many states have exactly one
-    ascending neighbour (in ``notes``).
     """
     from .geodesics import is_dead_end
 
@@ -208,7 +166,6 @@ def audit_dead_ends(ball: BallIndex, *, deep: bool = False) -> AuditReport:
     horizon = ball.radius - 1
     candidates: list[str] = []
     checked = 0
-    narrow_by_level = [0] * (horizon + 1) if deep else None
     for state, d in ball.states_sorted():
         if d > horizon:
             continue
@@ -221,11 +178,6 @@ def audit_dead_ends(ball: BallIndex, *, deep: bool = False) -> AuditReport:
             candidates.append(str(state))
         elif ck and is_dead_end(state):
             candidates.append(f"{state} (closed form disagrees)")
-        if narrow_by_level is not None and ascending == 1:
-            narrow_by_level[d] += 1
-    notes = [f"states certified: {checked} (distance <= {horizon})"]
-    if narrow_by_level is not None:
-        notes.append(f"states with a unique ascent, by level: {narrow_by_level}")
     return AuditReport(
         model=ball.model,
         radius=ball.radius,
@@ -233,7 +185,7 @@ def audit_dead_ends(ball: BallIndex, *, deep: bool = False) -> AuditReport:
         geodesic_failures=(),
         prefix_failures=(),
         dead_end_candidates=tuple(candidates),
-        notes=tuple(notes),
+        notes=(f"states certified: {checked} (distance <= {horizon})",),
     )
 
 

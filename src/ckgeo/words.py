@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Iterable
 
 # Single letters and whole words are plain strings.
 Letter = str
@@ -36,13 +35,6 @@ _TOKEN = re.compile(r"([aAbB])(?:\^(-?\d+))?")
 def is_letter(c: str) -> bool:
     """True iff ``c`` is one of the four alphabet letters."""
     return len(c) == 1 and c in _RANK
-
-
-def inverse_letter(c: Letter) -> Letter:
-    """Inverse of a single letter (case swap)."""
-    if not is_letter(c):
-        raise ValueError(f"not a letter: {c!r}")
-    return c.swapcase()
 
 
 #: Letters as digits that compare in canonical order, so a translated word
@@ -115,19 +107,6 @@ def syllables(w: Word) -> list[tuple[str, int]]:
         (run[0], len(run)) if run[0] in "ab" else (run[0].lower(), -len(run))
         for run in _runs(w)
     ]
-
-
-def from_syllables(parts: Iterable[tuple[str, int]]) -> Word:
-    """Inverse of :func:`syllables` (adjacent same-sign runs may merge)."""
-    out: list[str] = []
-    for base, exponent in parts:
-        if base not in ("a", "b"):
-            raise ValueError(f"syllable base must be 'a' or 'b', got {base!r}")
-        if exponent == 0:
-            continue
-        letter = base if exponent > 0 else base.upper()
-        out.append(letter * abs(exponent))
-    return "".join(out)
 
 
 def format_word(w: Word) -> str:

@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs eleven commands through ``ckgeo.cli.main`` and checks each exit code
+Runs fourteen commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -28,6 +28,9 @@ from ckgeo import cli
 # edge's site and order; an unreduced orbit word exits 2 and prints nothing.
 # The std digest, recorded with the per-letter formatter, is that of
 # "a^10000000"; ``--out`` without ``--export`` exits 2 and prints nothing.
+# The last three print nothing either: a budget below the identity's one
+# state exits 3, an unmatched parenthesis exits 2, and the orbit of (ab)^300,
+# whose element has a 178-digit geodesic count, exits 3 before any walk.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -82,6 +85,21 @@ CASES = [
     (
         ["ball", "2", "--out", os.path.join(tempfile.gettempdir(), "ckgeo-smoke-ball.csv")],
         2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["ball", "0", "--max-states", "0"],
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["len", "(1,2,3"],
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["orbit", "ab" * 300],
+        3,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 ]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ckgeo import cli, oracle
+from ckgeo import cli, moves, oracle
 from ckgeo.cli import main
 from ckgeo.errors import BallBudgetError
 from ckgeo.oracle import build_ball
@@ -77,6 +77,15 @@ class TestOrbit:
         rc, out, err = run(capsys, "orbit", "a", "--cap", "0")
         assert (rc, out) == (3, "")
         assert "cap=0" in err
+
+    def test_geodesic_past_the_cap_fails_before_the_walk(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the walk started past the orbit cap")
+
+        monkeypatch.setattr(moves, "neighbors", fail)
+        rc, out, err = run(capsys, "orbit", "ab" * 300)
+        assert (rc, out) == (3, "")
+        assert err.endswith(" exceeded cap=100000\n")
 
     def test_unreduced_word_exit_code(self, capsys):
         rc, out, err = run(capsys, "orbit", "bBaa")
@@ -169,6 +178,15 @@ class TestBall:
         rc, _, err = run(capsys, "ball", "12", "--max-states", "100")
         assert rc == 3
         assert "budget" in err or "states" in err
+
+    @pytest.mark.parametrize("command", [["ball", "0"], ["audit", "--radius", "0"]])
+    def test_max_states_counts_the_identity(self, capsys, command):
+        rc, out, err = run(capsys, *command, "--max-states", "0")
+        assert (rc, out) == (3, "")
+        assert err == (
+            "error: ball construction exceeded max_states=0 at radius 0"
+            " (reached 1 states, 0 levels completed)\n"
+        )
 
     def test_max_states_error_reports_progress(self, capsys):
         with pytest.raises(BallBudgetError) as info:

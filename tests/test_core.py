@@ -18,7 +18,6 @@ from ckgeo.core import (
     letter_map_for,
     multiply,
     normalize_quadrant,
-    par,
     project_to_klein,
     right_neighbors,
 )
@@ -43,16 +42,12 @@ class TestElement:
         assert Element.parse("2,-1,4") == Element(2, -1, 4)
 
     def test_parse_rejects_garbage(self):
-        for text in ("(2,-1)", "(a,b,c)", "()", "(1,2,3,4)"):
+        for text in ("(2,-1)", "(a,b,c)", "()", "(1,2,3,4)", "(1,2,3", "1,2,3)"):
             with pytest.raises(ParseError):
                 Element.parse(text)
 
     def test_to_dict(self):
         assert Element(1, 2, 3).to_dict() == {"k": 1, "m": 2, "n": 3}
-
-    def test_par(self):
-        assert par(4) == 0 and par(7) == 1
-        assert par(-1) == 1 and par(-2) == 0
 
 
 class TestAlgebra:

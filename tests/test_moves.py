@@ -463,6 +463,20 @@ class TestOrbit:
     def test_long_a_power_is_fixed(self):
         assert orbit("a" * 300) == ["a" * 300]
 
+    def test_geodesic_past_the_cap_fails_before_the_walk(self, monkeypatch):
+        # A non-geodesic word still walks: (0,-1,2) has 2 geodesics, and
+        # this length-5 spelling's orbit is itself alone.
+        assert orbit("baaBB", cap=1) == ["baaBB"]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the walk started past the orbit cap")
+
+        monkeypatch.setattr(moves, "neighbors", fail)
+        with pytest.raises(OrbitCapError, match="exceeded cap=100000"):
+            orbit("ab" * 300)
+        with pytest.raises(OrbitCapError, match="exceeded cap=5"):
+            orbit(std_rep(Element(2, 0, 0)), cap=5)
+
     def test_edges_collects_each_words_neighbors_once(self):
         edges = []
         words = orbit("aBaaBB", edges=edges)

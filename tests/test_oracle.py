@@ -15,7 +15,7 @@ from ckgeo.geodesics import (
     length,
     std_rep,
 )
-from ckgeo.models import CK, KLEIN, ZSQUARED, get_model
+from ckgeo.models import CK, ZSQUARED, get_model
 from ckgeo.oracle import (
     AuditReport,
     BallIndex,
@@ -29,7 +29,6 @@ from ckgeo.oracle import (
     check_last_letter,
     check_standard_language,
     enumerate_geodesics,
-    exact_length,
     expected_terminal_words,
 )
 from ckgeo.words import LETTERS, format_word, word_sort_key
@@ -88,23 +87,13 @@ class TestBuildBall:
         with pytest.raises(ValueError):
             build_ball("ck", -1)
 
-    def test_distance_miss_message(self):
-        b = build_ball("ck", 2)
-        with pytest.raises(ValueError, match="larger radius"):
-            b.distance((5, 5, 5))
-
-
-class TestExactLength:
-    def test_matches_closed_form(self, ball8):
-        for key, dist in ball8.distances.items():
-            assert exact_length(ball8, key) == dist == length(Element(*key))
-
-    def test_accepts_elements(self, ball8):
-        assert exact_length(ball8, Element(1, 0, 0)) == 4
-
-    def test_uncovered_state(self, ball8):
-        with pytest.raises(ValueError):
-            exact_length(ball8, (0, 0, 9))
+    @pytest.mark.parametrize("name", ["ck", "klein", "z2"])
+    def test_budget_counts_the_identity(self, name):
+        with pytest.raises(BallBudgetError) as exc:
+            build_ball(name, 0, max_states=0)
+        assert str(exc.value) == "ball construction exceeded max_states=0 at radius 0"
+        assert (exc.value.states, exc.value.levels_completed) == (1, 0)
+        assert len(build_ball(name, 0, max_states=1)) == 1
 
 
 class TestEnumerateGeodesics:
@@ -133,13 +122,10 @@ class TestEnumerateGeodesics:
                 assert evaluate(w) == Element(*key)
                 assert len(w) == ball8.distances[key]
 
-    def test_generic_models(self):
-        bz = build_ball("z2", 4)
-        assert enumerate_geodesics(bz, (1, 1)) == ["ab", "ba"]
-        bk = build_ball("klein", 4)
-        words = enumerate_geodesics(bk, (1, 1))
-        assert len(words) == 2
-        assert all(KLEIN.evaluate(w) == (1, 1) for w in words)
+    @pytest.mark.parametrize("name", ["klein", "z2"])
+    def test_rejects_other_models(self, name):
+        with pytest.raises(ValueError, match="specific to the ck model"):
+            enumerate_geodesics(build_ball(name, 4), (1, 1))
 
     def test_generic_matches_kernel_route(self, ball8):
         generic = _reference_ball(CK, 6)
@@ -158,11 +144,6 @@ class TestDeadEndAudit:
         for name in ("klein", "z2"):
             rep = audit_dead_ends(build_ball(name, 8))
             assert rep.verdict == "pass"
-
-    def test_deep_mode_notes(self, ball8):
-        rep = audit_dead_ends(ball8, deep=True)
-        assert rep.verdict == "pass"
-        assert any("unique" in n for n in rep.notes)
 
 
 class TestStandardLanguageAudit:
@@ -326,12 +307,11 @@ def _rows(ball):
     return sorted(ball.distances.items(), key=lambda kv: (kv[1], kv[0]))
 
 
-def _reference_dead_ends(ball, *, deep=False):
+def _reference_dead_ends(ball):
     model = get_model(ball.model)
     horizon = ball.radius - 1
     candidates = []
     checked = 0
-    narrow_by_level = [0] * (horizon + 1) if deep else None
     for state, d in _rows(ball):
         if d > horizon:
             continue
@@ -345,11 +325,6 @@ def _reference_dead_ends(ball, *, deep=False):
             candidates.append(str(state))
         elif ball.model == "ck" and is_dead_end(Element(*state)):
             candidates.append(f"{state} (closed form disagrees)")
-        if narrow_by_level is not None and ascending == 1:
-            narrow_by_level[d] += 1
-    notes = [f"states certified: {checked} (distance <= {horizon})"]
-    if narrow_by_level is not None:
-        notes.append(f"states with a unique ascent, by level: {narrow_by_level}")
     return AuditReport(
         model=ball.model,
         radius=ball.radius,
@@ -357,7 +332,7 @@ def _reference_dead_ends(ball, *, deep=False):
         geodesic_failures=(),
         prefix_failures=(),
         dead_end_candidates=tuple(candidates),
-        notes=tuple(notes),
+        notes=(f"states certified: {checked} (distance <= {horizon})",),
     )
 
 
@@ -449,10 +424,9 @@ class TestPerStateChecksMatchReferences:
 
     def test_dead_ends(self, balls):
         ball, tampered = balls
-        for deep in (False, True):
-            rep = audit_dead_ends(ball, deep=deep)
-            assert rep.to_dict() == _reference_dead_ends(ball, deep=deep).to_dict()
-            assert bool(rep.dead_end_candidates) == tampered
+        rep = audit_dead_ends(ball)
+        assert rep.to_dict() == _reference_dead_ends(ball).to_dict()
+        assert bool(rep.dead_end_candidates) == tampered
 
     def test_continuation_rules(self, balls):
         ball, tampered = balls
@@ -475,8 +449,5 @@ class TestPerStateChecksMatchReferences:
         ball = build_ball(name, 8)
         tampered = _tampered(ball, (1, 2), 1)
         for b in (ball, tampered):
-            for deep in (False, True):
-                assert audit_dead_ends(b, deep=deep).to_dict() == (
-                    _reference_dead_ends(b, deep=deep).to_dict()
-                )
+            assert audit_dead_ends(b).to_dict() == _reference_dead_ends(b).to_dict()
         assert audit_dead_ends(tampered).dead_end_candidates

@@ -12,7 +12,6 @@ from ckgeo.words import (
     cyclic_shifts,
     format_word,
     free_reduce,
-    from_syllables,
     is_reduced,
     parse_word,
     syllables,
@@ -169,11 +168,9 @@ class TestReduce:
 class TestSyllables:
     def test_split_and_join(self):
         assert syllables("aaBBB") == [("a", 2), ("b", -3)]
-        assert from_syllables([("a", 2), ("b", -3)]) == "aaBBB"
 
     def test_empty(self):
         assert syllables("") == []
-        assert from_syllables([]) == ""
 
     @given(words_st)
     def test_matches_per_letter_reference(self, w):
