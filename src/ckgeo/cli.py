@@ -16,6 +16,7 @@ import random
 import sys
 from typing import Sequence
 
+from . import kernels
 from .core import Element, IDENTITY, evaluate, inverse, multiply
 from .errors import (
     GEODESIC_CAP,
@@ -30,15 +31,13 @@ from .moves import check_theorem2, orbit
 from .oracle import (
     BallIndex,
     CheckReport,
-    CkStandardWords,
-    TruncatedLanguage,
-    Z2StandardWords,
     audit_dead_ends,
     build_ball,
     check_continuation_rules,
     check_last_letter,
     check_standard_language,
     expected_terminal_words,
+    standard_words,
 )
 from .render import RenderSpec, render_svg, write_svg
 from .words import format_word, parse_word
@@ -123,7 +122,7 @@ def _cmd_ball(args: argparse.Namespace) -> int:
         levels = ",".join(str(v) for v in ball.frontier_sizes)
         print(
             f"model={ball.model} radius={ball.radius} states={len(ball)}"
-            f" levels={levels} backend={ball.backend}"
+            f" levels={levels} backend={kernels.BACKEND}"
         )
         return EXIT_OK
     export = ball.export_csv if args.export == "csv" else ball.export_jsonl
@@ -156,9 +155,8 @@ def _algebra_suite(seed: int, trials: int = 500) -> CheckReport:
     )
 
 
-def _length_suite(ball: BallIndex) -> CheckReport:
+def _length_suite(ball: BallIndex, table: LengthTable) -> CheckReport:
     """Closed-form lengths against BFS distances, both key sets compared."""
-    table = LengthTable.build(ball.radius)
     failures = []
     # Element is a NamedTuple: it hashes and compares equal to the plain
     # (k, m, n) key, so the table is looked up by the ball's keys directly.
@@ -195,17 +193,20 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         "model": args.model,
         "radius": args.radius,
         "seed": args.seed,
-        "backend": ball.backend,
+        "backend": kernels.BACKEND,
         "suites": {},
     }
     suite_verdicts: list[str] = []
 
     if args.negative_control:
-        if args.model == "z2":
-            language = TruncatedLanguage(Z2StandardWords(), max(0, args.radius - 2))
-        else:
-            language = TruncatedLanguage(CkStandardWords(), max(0, args.radius - 2))
-        lang_report = check_standard_language(language, ball)
+        # The standard words clipped below the horizon: those at the cap
+        # extend to no longer language word, so the prefix audit must fail.
+        cap = max(0, args.radius - 2)
+        lang_report = check_standard_language(
+            f"{args.model}-standard-truncated@{cap}",
+            standard_words(args.model, cap),
+            ball,
+        )
         report["suites"]["standard_language"] = lang_report.to_dict()
         report["verdict"] = lang_report.verdict
         print(json.dumps(report, indent=2))
@@ -220,9 +221,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         report["suites"]["algebra"] = algebra.to_dict()
         suite_verdicts.append(algebra.verdict)
 
-        lengths = _length_suite(ball)
+        # One closed-form ball serves the length suite and the language:
+        # the language words are its standard representatives.  The table
+        # goes before the later suites, whose sorted copies of the ball set
+        # the audit's peak memory.
+        table = LengthTable.build(args.radius)
+        lengths = _length_suite(ball, table)
         report["suites"]["length_closed_form"] = lengths.to_dict()
         suite_verdicts.append(lengths.verdict)
+        words = [std_rep(g) for g in table.entries]
+        del table
 
         rules = check_continuation_rules(ball)
         report["suites"]["continuation_rules"] = rules.to_dict()
@@ -232,7 +240,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         report["suites"]["last_letter"] = last.to_dict()
         suite_verdicts.append(last.verdict)
 
-        lang_report = check_standard_language(CkStandardWords(), ball)
+        lang_report = check_standard_language("ck-standard", words, ball)
         expected = expected_terminal_words(args.radius - 1)
         unexpected = sorted(set(lang_report.prefix_failures) - expected)
         missing_expected = sorted(expected - set(lang_report.prefix_failures))
@@ -261,7 +269,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             ),
         }
     elif args.model == "z2":
-        lang_report = check_standard_language(Z2StandardWords(), ball)
+        lang_report = check_standard_language(
+            "z2-standard", standard_words("z2", args.radius), ball
+        )
         report["suites"]["standard_language"] = lang_report.to_dict()
         suite_verdicts.append(lang_report.verdict)
 

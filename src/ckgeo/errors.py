@@ -13,6 +13,8 @@ MAX_STATES = 2_000_000
 GEODESIC_CAP = 100_000
 #: Default cap on the number of words a move orbit may reach.
 ORBIT_CAP = 100_000
+#: Budget on the lattice points of a rendered drawing's grid (about 500 x 500).
+MAX_GRID_POINTS = 250_000
 
 
 class CkgeoError(Exception):

@@ -247,9 +247,3 @@ class LengthTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __getitem__(self, g: Element) -> int:
-        return self.entries[g]
-
-    def __contains__(self, g: Element) -> bool:
-        return g in self.entries

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import IO, Hashable, Iterator, Mapping
+from typing import IO, Hashable, Iterable, Mapping
 
 from . import kernels
 from .core import Element, right_neighbors
@@ -33,15 +33,13 @@ class BallIndex:
     ``distances`` is keyed by the model's canonical state keys (coordinate
     tuples).  ``frontier_sizes[d]`` is the number of states at distance
     exactly d, so ``frontier_sizes[0] == 1`` and the sizes sum to
-    ``len(distances)``.  ``backend`` names the kernel backend that built
-    the index; :mod:`ckgeo.kernels` is the one backend, so it reads ``pure``.
+    ``len(distances)``.
     """
 
     model: str
     radius: int
     distances: Mapping[Hashable, int] = field(repr=False)
     frontier_sizes: tuple[int, ...]
-    backend: str
 
     def __len__(self) -> int:
         return len(self.distances)
@@ -88,7 +86,6 @@ def build_ball(
         radius=radius,
         distances=distances,
         frontier_sizes=tuple(levels),
-        backend=kernels.BACKEND,
     )
 
 
@@ -189,70 +186,33 @@ def audit_dead_ends(ball: BallIndex) -> AuditReport:
     )
 
 
-class StandardLanguage:
-    """A deterministic normal-form language for one of the models.
+def standard_words(model: str, max_length: int) -> list[Word]:
+    """The standard language of ``model``: one word per element of length
+    <= max_length.
 
-    ``words(max_length)`` must yield each language word at most once, all of
-    length <= max_length.  The audit checks that the words are geodesic,
-    that they biject onto the ball states, and that every word shorter than
-    the horizon is a proper prefix of another language word.
+    For ``ck`` these are the standard representatives of the closed-form
+    ball; for ``z2`` the b-run then a-run normal forms.  ``klein`` has no
+    standard language here, and any model but ``ck`` or ``z2`` raises
+    ``ValueError``.
     """
-
-    name: str = "abstract"
-    model: str = "ck"
-
-    def words(self, max_length: int) -> Iterator[Word]:
-        raise NotImplementedError
-
-
-class CkStandardWords(StandardLanguage):
-    """The standard representatives of every element within a length bound."""
-
-    name = "ck-standard"
-    model = "ck"
-
-    def words(self, max_length: int) -> Iterator[Word]:
-        for g in closed_ball_elements(max_length):
-            yield std_rep(g)
-
-
-class Z2StandardWords(StandardLanguage):
-    """b-run then a-run normal forms for the free abelian control."""
-
-    name = "z2-standard"
-    model = "z2"
-
-    def words(self, max_length: int) -> Iterator[Word]:
-        for m in range(-max_length, max_length + 1):
-            for n in range(-(max_length - abs(m)), max_length - abs(m) + 1):
-                b_run = ("b" if m >= 0 else "B") * abs(m)
-                a_run = ("a" if n >= 0 else "A") * abs(n)
-                yield b_run + a_run
-
-
-class TruncatedLanguage(StandardLanguage):
-    """Deliberately broken control: clips a language at a hard length cap.
-
-    Words at the cap then have no longer language words extending them, so
-    the prefix audit must fail whenever the horizon exceeds the cap.
-    """
-
-    def __init__(self, inner: StandardLanguage, cap: int) -> None:
-        self.inner = inner
-        self.cap = cap
-        self.name = f"{inner.name}-truncated@{cap}"
-        self.model = inner.model
-
-    def words(self, max_length: int) -> Iterator[Word]:
-        return self.inner.words(min(max_length, self.cap))
+    if model == "ck":
+        return [std_rep(g) for g in closed_ball_elements(max_length)]
+    if model != "z2":
+        raise ValueError(f"model {model!r} has no standard language: ck or z2")
+    return [
+        ("b" if m >= 0 else "B") * abs(m) + ("a" if n >= 0 else "A") * abs(n)
+        for m in range(-max_length, max_length + 1)
+        for n in range(-(max_length - abs(m)), max_length - abs(m) + 1)
+    ]
 
 
 def check_standard_language(
-    language: StandardLanguage, ball: BallIndex
+    name: str, words: Iterable[Word], ball: BallIndex
 ) -> AuditReport:
-    """Audit a normal-form language against a ball.
+    """Audit a normal-form language, given by its words, against a ball.
 
-    Checks, for the horizon R = ball.radius:
+    ``name`` labels the language in the report's notes.  Checks, for the
+    horizon R = ball.radius:
 
     * every language word is freely reduced and geodesic (BFS distance
       equals its length) — failures land in ``geodesic_failures``;
@@ -261,16 +221,11 @@ def check_standard_language(
     * every language word of length < R is a proper prefix of some longer
       language word — failures land in ``prefix_failures``.
     """
-    if language.model != ball.model:
-        raise ValueError(
-            f"language {language.name!r} targets model {language.model!r},"
-            f" ball holds {ball.model!r}"
-        )
     model = get_model(ball.model)
     geodesic_failures: list[str] = []
     prefix_failures: list[str] = []
     seen: dict[Hashable, Word] = {}
-    words = sorted(set(language.words(ball.radius)), key=word_sort_key)
+    words = sorted(set(words), key=word_sort_key)
     for w in words:
         if len(w) > ball.radius:
             geodesic_failures.append(f"coverage: {format_word(w)} exceeds horizon")
@@ -308,7 +263,7 @@ def check_standard_language(
         geodesic_failures=tuple(geodesic_failures),
         prefix_failures=tuple(prefix_failures),
         dead_end_candidates=(),
-        notes=(f"language: {language.name}",),
+        notes=(f"language: {name}",),
     )
 
 
@@ -405,10 +360,10 @@ def check_continuation_rules(ball: BallIndex) -> CheckReport:
     )
 
 
-def check_last_letter(ball: BallIndex, *, max_distance: int | None = None) -> CheckReport:
+def check_last_letter(ball: BallIndex) -> CheckReport:
     """Certify the last-letter rule on a central-extension ball.
 
-    For every element g with 1 <= distance <= max_distance, the set of
+    For every element g with 1 <= distance <= radius − 1, the set of
     letters that end some geodesic of g is computed twice: from BFS
     distances (s ends a geodesic iff dist(g·s⁻¹) = dist(g) − 1) and from the
     closed-form length.  The two sets must be equal and nonempty.  g·s⁻¹ is
@@ -417,13 +372,7 @@ def check_last_letter(ball: BallIndex, *, max_distance: int | None = None) -> Ch
     """
     if ball.model != "ck":
         raise ValueError("the last-letter rule is specific to the ck model")
-    if max_distance is not None and max_distance < 1:
-        raise ValueError(f"max_distance must be >= 1, got {max_distance}")
-    horizon = ball.radius - 1 if max_distance is None else max_distance
-    if horizon > ball.radius - 1:
-        raise ValueError(
-            f"max_distance {horizon} needs ball radius >= {horizon + 1}"
-        )
+    horizon = ball.radius - 1
     failures: list[str] = []
     checked = 0
     get = ball.distances.get

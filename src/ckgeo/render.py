@@ -14,9 +14,11 @@ rightward along the top edge in even columns, leftward in odd columns.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import evaluate, lattice_path
+from .errors import MAX_GRID_POINTS, ResourceError
 from .moves import young_rectangle
 from .words import Word, format_word
 
@@ -53,13 +55,17 @@ def _vertical_edges(points, sign: int) -> list[tuple[int, int, int]]:
 
 
 def render_svg(spec: RenderSpec) -> str:
-    """Render a word's lattice path as a standalone SVG document."""
+    """Render a word's lattice path as a standalone SVG document.
+
+    Raises :class:`ckgeo.errors.ResourceError` before any SVG text is built
+    when the drawing's grid (the bounding box of the path, and with
+    ``show_young`` of the rectangle and the standard path) has more than
+    :data:`ckgeo.errors.MAX_GRID_POINTS` lattice points.
+    """
     points = lattice_path(spec.word)
-    cell = spec.cell_size
     xs = [p.x for p in points]
     ys = [p.y for p in points]
-    rect_corners = None
-    std_points = None
+    young = None
     if spec.show_young:
         g = evaluate(spec.word)
         if g.m < 0 or g.n < 0:
@@ -73,8 +79,21 @@ def render_svg(spec: RenderSpec) -> str:
         std_points = lattice_path(std_rep(g))
         xs += [c[0] for c in rect_corners] + [p.x for p in std_points]
         ys += [c[1] for c in rect_corners] + [p.y for p in std_points]
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
+        young = (rect_corners, std_points)
+    bounds = min(xs), max(xs), min(ys), max(ys)
+    grid_points = (bounds[1] - bounds[0] + 1) * (bounds[3] - bounds[2] + 1)
+    if grid_points > MAX_GRID_POINTS:
+        raise ResourceError(
+            f"drawing spans {grid_points} grid points, over the budget of"
+            f" {MAX_GRID_POINTS}"
+        )
+    return _svg(spec, points, young, bounds)
+
+
+def _svg(spec: RenderSpec, points, young, bounds) -> str:
+    """The SVG text of a drawing whose geometry :func:`render_svg` checked."""
+    min_x, max_x, min_y, max_y = bounds
+    cell = spec.cell_size
     margin = cell
     width = 2 * margin + (max_x - min_x) * cell
     height = 2 * margin + (max_y - min_y) * cell
@@ -101,13 +120,19 @@ def render_svg(spec: RenderSpec) -> str:
             f'<line x1="{sx(min_x)}" y1="{sy(y)}" x2="{sx(max_x)}" y2="{sy(y)}"'
             f' stroke="{_GRID}" stroke-width="1"/>'
         )
-    if spec.show_young and rect_corners is not None and std_points is not None:
+    if young is not None:
+        rect_corners, std_points = young
         # Shade cells with nonzero winding of (path followed by reversed
-        # standard path): the region the word's diagrams deviate by.
-        edges = _vertical_edges(points, 1) + _vertical_edges(std_points, -1)
+        # standard path): the region the word's diagrams deviate by.  A
+        # cell's winding is the signed sum of the vertical edges in its row
+        # at or left of it, so each row is one sweep from the left.
+        steps: Counter[tuple[int, int]] = Counter()
+        for ex, ey, d in _vertical_edges(points, 1) + _vertical_edges(std_points, -1):
+            steps[ex, ey] += d
         for cy in range(min_y, max_y):
+            wind = 0
             for cx in range(min_x, max_x):
-                wind = sum(d for ex, ey, d in edges if ex <= cx and ey == cy)
+                wind += steps[cx, cy]
                 if wind != 0:
                     out.append(
                         f'<rect x="{sx(cx)}" y="{sy(cy + 1)}" width="{cell}"'

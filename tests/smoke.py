@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs fourteen commands through ``ckgeo.cli.main`` and checks each exit code
+Runs sixteen commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -31,6 +31,8 @@ from ckgeo import cli
 # The last three print nothing either: a budget below the identity's one
 # state exits 3, an unmatched parenthesis exits 2, and the orbit of (ab)^300,
 # whose element has a 178-digit geodesic count, exits 3 before any walk.
+# The ck negative control exits 5 with the digest tests/test_cli.py pins, and
+# a 2001 x 2001 render grid is over the drawing budget: exit 3, no output.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -99,6 +101,16 @@ CASES = [
     ),
     (
         ["orbit", "ab" * 300],
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["audit", "--model", "ck", "--radius", "8", "--negative-control"],
+        5,
+        "14d28c497615f80389ca938cba97b3e52fbc6056c8ef21062a3fb6ac85f7df92",
+    ),
+    (
+        ["render", "a^2000 b^2000", "--cells"],
         3,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),

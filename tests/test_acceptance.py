@@ -49,15 +49,13 @@ from ckgeo.moves import (
     young_recompose,
 )
 from ckgeo.oracle import (
-    CkStandardWords,
-    TruncatedLanguage,
-    Z2StandardWords,
     audit_dead_ends,
     build_ball,
     check_last_letter,
     check_standard_language,
     enumerate_geodesics,
     expected_terminal_words,
+    standard_words,
 )
 from ckgeo.words import LETTERS, apply_letter_map, cyclic_shifts, is_reduced, word_inverse
 
@@ -216,26 +214,29 @@ def test_a09_castling_chain_example():
     " standard word extends them, so the language fails the prefix audit",
 )
 def test_a10_standard_language_literal(ball12):
-    rep = check_standard_language(CkStandardWords(), ball12)
+    rep = check_standard_language("ck-standard", standard_words("ck", 12), ball12)
     assert rep.verdict == "pass"
 
 
 def test_a10_standard_language_certified(ball12):
-    rep = check_standard_language(CkStandardWords(), ball12)
+    rep = check_standard_language("ck-standard", standard_words("ck", 12), ball12)
     assert rep.geodesic_failures == ()
     assert rep.standard_words_checked == 2537
     assert set(rep.prefix_failures) == set(expected_terminal_words(11))
     assert len(rep.prefix_failures) == 162
     # Positive control: the commutative quotient's language is prefix-closed.
-    assert check_standard_language(Z2StandardWords(), build_ball("z2", 10)).verdict == "pass"
+    z2 = check_standard_language("z2-standard", standard_words("z2", 10), build_ball("z2", 10))
+    assert z2.verdict == "pass"
     # Negative control: clipping the language is detected.
-    clipped = check_standard_language(TruncatedLanguage(CkStandardWords(), 10), ball12)
+    clipped = check_standard_language(
+        "ck-standard-truncated@10", standard_words("ck", 10), ball12
+    )
     assert clipped.verdict == "fail"
     assert len(clipped.prefix_failures) > 162
 
 
-def test_a11_last_letter_equivalence(ball12):
-    rep = check_last_letter(ball12, max_distance=9)
+def test_a11_last_letter_equivalence():
+    rep = check_last_letter(build_ball("ck", 10))
     assert rep.verdict == "pass"
     assert rep.checked == 1094  # all states with 1 <= distance <= 9
     assert rep.failures == ()

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ckgeo import cli, moves, oracle
+from ckgeo import cli, geodesics, moves, oracle, render
 from ckgeo.cli import main
 from ckgeo.errors import BallBudgetError
 from ckgeo.oracle import build_ball
@@ -228,6 +228,20 @@ class TestAudit:
         data = json.loads(out)
         assert data["verdict"] == "fail"
 
+    def test_ck_audit_enumerates_closed_ball_once(self, capsys, monkeypatch):
+        calls = []
+        enumerate_ball = geodesics.closed_ball_elements
+
+        def counted(radius):
+            calls.append(radius)
+            return enumerate_ball(radius)
+
+        monkeypatch.setattr(geodesics, "closed_ball_elements", counted)
+        monkeypatch.setattr(oracle, "closed_ball_elements", counted)
+        rc, _, _ = run(capsys, "audit", "--radius", "8")
+        assert rc == 0
+        assert calls == [8]
+
     def test_deterministic_output(self, capsys):
         rc1, out1, _ = run(capsys, "audit", "--model", "ck", "--radius", "6")
         rc2, out2, _ = run(capsys, "audit", "--model", "ck", "--radius", "6")
@@ -313,6 +327,17 @@ class TestRender:
         )
         assert rc == 0
         assert out_file.read_text() == golden
+
+    def test_over_budget_fails_before_any_svg(self, capsys, monkeypatch):
+        def no_svg(*args, **kwargs):
+            raise AssertionError("SVG text built for an over-budget drawing")
+
+        monkeypatch.setattr(render, "_svg", no_svg)
+        # A 2001 x 2001 grid: four million points.
+        for flags in ([], ["--cells"], ["--young"]):
+            rc, out, err = run(capsys, "render", "a^2000 b^2000", *flags)
+            assert (rc, out) == (3, "")
+            assert "grid points" in err
 
     def test_young_requires_normalized(self, capsys):
         rc, _, err = run(capsys, "render", "B", "--young")

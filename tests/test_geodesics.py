@@ -401,12 +401,12 @@ class TestLengthTable:
         table = LengthTable.build(8)
         assert len(table) == len(ball8.distances)
         for key, dist in ball8.distances.items():
-            assert table[Element(*key)] == dist
+            assert table.entries[Element(*key)] == dist
 
     def test_protocol(self):
         table = LengthTable.build(4)
         assert table.radius == 4
-        assert Element(1, 0, 0) in table
-        assert Element(9, 9, 9) not in table
+        assert Element(1, 0, 0) in table.entries
+        assert Element(9, 9, 9) not in table.entries
         with pytest.raises(KeyError):
-            table[Element(9, 9, 9)]
+            table.entries[Element(9, 9, 9)]

@@ -20,9 +20,6 @@ from ckgeo.oracle import (
     AuditReport,
     BallIndex,
     CheckReport,
-    CkStandardWords,
-    TruncatedLanguage,
-    Z2StandardWords,
     audit_dead_ends,
     build_ball,
     check_continuation_rules,
@@ -30,6 +27,7 @@ from ckgeo.oracle import (
     check_standard_language,
     enumerate_geodesics,
     expected_terminal_words,
+    standard_words,
 )
 from ckgeo.words import LETTERS, format_word, word_sort_key
 
@@ -148,52 +146,62 @@ class TestDeadEndAudit:
 
 class TestStandardLanguageAudit:
     def test_z2_passes(self):
-        rep = check_standard_language(Z2StandardWords(), build_ball("z2", 8))
+        rep = check_standard_language("z2-standard", standard_words("z2", 8), build_ball("z2", 8))
         assert rep.verdict == "pass"
         assert rep.geodesic_failures == ()
         assert rep.prefix_failures == ()
+        assert rep.notes == ("language: z2-standard",)
 
     def test_ck_geodesic_part_is_clean(self, ball8):
-        rep = check_standard_language(CkStandardWords(), ball8)
+        rep = check_standard_language("ck-standard", standard_words("ck", 8), ball8)
         assert rep.geodesic_failures == ()
         assert rep.standard_words_checked == len(ball8)
 
     def test_ck_prefix_failures_are_exactly_the_terminal_words(self, ball8):
-        rep = check_standard_language(CkStandardWords(), ball8)
+        rep = check_standard_language("ck-standard", standard_words("ck", 8), ball8)
         assert rep.verdict == "fail"
         assert set(rep.prefix_failures) == set(expected_terminal_words(7))
         assert len(rep.prefix_failures) == 50
 
     def test_truncated_control_fails(self, ball8):
-        rep = check_standard_language(TruncatedLanguage(CkStandardWords(), 6), ball8)
+        rep = check_standard_language("ck-truncated", standard_words("ck", 6), ball8)
         assert rep.verdict == "fail"
         assert len(rep.prefix_failures) > 50
 
-    def test_model_mismatch(self, ball8):
-        with pytest.raises(ValueError):
-            check_standard_language(Z2StandardWords(), ball8)
+    def test_klein_has_no_standard_words(self):
+        with pytest.raises(ValueError, match="no standard language"):
+            standard_words("klein", 4)
+
+    def test_words_are_any_iterable(self, ball8):
+        words = standard_words("ck", 8)
+        assert (
+            check_standard_language("ck-standard", iter(words), ball8)
+            == check_standard_language("ck-standard", words, ball8)
+        )
 
     @pytest.mark.parametrize(
-        "language,radius",
+        "name,radius",
         [
-            (CkStandardWords(), 8),
-            (CkStandardWords(), 12),
-            (Z2StandardWords(), 10),
-            (TruncatedLanguage(CkStandardWords(), 6), 8),
-            (TruncatedLanguage(CkStandardWords(), 10), 12),
-            (TruncatedLanguage(Z2StandardWords(), 7), 10),
+            ("ck-standard", 8),
+            ("ck-standard", 12),
+            ("z2-standard", 10),
+            ("ck-standard-truncated@6", 8),
+            ("ck-standard-truncated@10", 12),
+            ("z2-standard-truncated@7", 10),
         ],
-        ids=lambda v: getattr(v, "name", str(v)),
     )
-    def test_prefix_failures_match_materialized_prefixes(self, language, radius):
-        words = set(language.words(radius))
+    def test_prefix_failures_match_materialized_prefixes(self, name, radius):
+        # A truncated language is the standard words up to its cap.
+        model = name.split("-")[0]
+        max_length = int(name.split("@")[1]) if "@" in name else radius
+        words = set(standard_words(model, max_length))
         prefixes = {w[:i] for w in words for i in range(len(w))}
         expected = [
             format_word(w)
             for w in sorted(words, key=word_sort_key)
             if len(w) < radius and w not in prefixes
         ]
-        rep = check_standard_language(language, build_ball(language.model, radius))
+        rep = check_standard_language(name, words, build_ball(model, radius))
         assert list(rep.prefix_failures) == expected
 
 
@@ -225,12 +233,6 @@ class TestLetterAndRuleChecks:
         rep = check_last_letter(ball8)
         assert rep.verdict == "pass"
         assert rep.checked == sum(ball8.frontier_sizes[1:8])
-
-    def test_last_letter_horizon_guard(self, ball8):
-        # Past the ball's reach, and below 1, where the check would be vacuous.
-        for max_distance in (8, 0, -3):
-            with pytest.raises(ValueError):
-                check_last_letter(ball8, max_distance=max_distance)
 
     def test_last_letter_rejects_other_models(self):
         with pytest.raises(ValueError):
@@ -296,7 +298,7 @@ def _reference_ball(model, radius):
                 if child not in distances:
                     distances[child] = d
                     levels[-1].append(child)
-    return BallIndex(model.name, radius, distances, tuple(map(len, levels)), "reference")
+    return BallIndex(model.name, radius, distances, tuple(map(len, levels)))
 
 
 # References for the per-state checks: the multiply-based versions they
@@ -369,8 +371,8 @@ def _reference_continuation_rules(ball):
     )
 
 
-def _reference_last_letter(ball, *, max_distance=None):
-    horizon = ball.radius - 1 if max_distance is None else max_distance
+def _reference_last_letter(ball):
+    horizon = ball.radius - 1
     failures = []
     checked = 0
     for state, d in _rows(ball):
@@ -398,6 +400,12 @@ def _reference_last_letter(ball, *, max_distance=None):
         failures=tuple(failures),
         notes=(f"elements with 1 <= distance <= {horizon}",),
     )
+
+
+def _clipped(ball, radius):
+    """The ball cut back to the states at distance <= ``radius``."""
+    distances = {state: d for state, d in ball.distances.items() if d <= radius}
+    return dataclasses.replace(ball, radius=radius, distances=distances)
 
 
 def _tampered(ball, key, delta):
@@ -440,8 +448,9 @@ class TestPerStateChecksMatchReferences:
         assert rep.to_dict() == _reference_last_letter(ball).to_dict()
         assert bool(rep.failures) == tampered
         for horizon in (1, 5, ball.radius - 1):
-            rep = check_last_letter(ball, max_distance=horizon)
-            ref = _reference_last_letter(ball, max_distance=horizon)
+            clipped = _clipped(ball, horizon + 1)
+            rep = check_last_letter(clipped)
+            ref = _reference_last_letter(clipped)
             assert rep.to_dict() == ref.to_dict()
 
     @pytest.mark.parametrize("name", ["klein", "z2"])

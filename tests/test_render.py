@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ckgeo.core import Element
 from ckgeo.geodesics import std_rep
 from ckgeo.render import RenderSpec, render_svg, write_svg
+from ckgeo.words import parse_word
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,6 +26,24 @@ class TestGolden:
     def test_byte_identical(self, element, name):
         svg = render_svg(full_spec(std_rep(element)))
         assert svg == (GOLDEN / name).read_text()
+
+
+class TestShadingDigests:
+    # Recorded with the per-cell edge sum the row sweep replaced.  The words
+    # give drawings 6, 8, 17 and 5 cells high, and the last one steps back
+    # along x, so one row holds vertical edges at several x.
+    @pytest.mark.parametrize(
+        "word,digest",
+        [
+            ("aBBBBaBBaa", "8398ea3a303b1fc8901783519b31de4ebfd85d69c3214a77a69cf05f5e740633"),
+            ("b^7 a^2 B^3 a^5 b", "31a9b51b27aa646c2042d91306e3bafb80562ac67aa8ae15c6eff50d9f453832"),
+            ("b^2 a^3 b^-6 a b^9 a^2", "96ec49056c573b21da08ae99abcb0556034b7936aa626a19c0a3962b8c870d55"),
+            ("a^3 b^-5 A^2 b^3 a^4 b^-2", "6cab1aae0c3f9e75b00341df66fa8c636099e84013eec82214155745204c04b7"),
+        ],
+    )
+    def test_young_cells_digest(self, word, digest):
+        svg = render_svg(full_spec(parse_word(word)))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 class TestDeterminism:
