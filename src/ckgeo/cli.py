@@ -37,6 +37,7 @@ from .oracle import (
     check_last_letter,
     check_standard_language,
     expected_terminal_words,
+    in_ball_order,
     standard_words,
 )
 from .render import RenderSpec, render_svg, write_svg
@@ -156,17 +157,25 @@ def _algebra_suite(seed: int, trials: int = 500) -> CheckReport:
 
 
 def _length_suite(ball: BallIndex, table: LengthTable) -> CheckReport:
-    """Closed-form lengths against BFS distances, both key sets compared."""
-    failures = []
+    """Closed-form lengths against BFS distances, both key sets compared.
+
+    The ball's states that fail come first, in (distance, state) order
+    whatever the order of its dict, then the table's extra elements in
+    table order.
+    """
+    mismatches = []
     # Element is a NamedTuple: it hashes and compares equal to the plain
     # (k, m, n) key, so the table is looked up by the ball's keys directly.
     entries = table.entries
-    for state, d in ball.states_sorted():
+    for state, d in ball.distances.items():
         closed = entries.get(state)
         if closed is None:
-            failures.append(f"{Element(*state).format()}: missing from closed-form ball")
+            message = f"{Element(*state).format()}: missing from closed-form ball"
+            mismatches.append((d, state, message))
         elif closed != d:
-            failures.append(f"{Element(*state).format()}: closed form {closed}, oracle {d}")
+            message = f"{Element(*state).format()}: closed form {closed}, oracle {d}"
+            mismatches.append((d, state, message))
+    failures = list(in_ball_order(mismatches))
     for g in entries:
         if g not in ball.distances:
             failures.append(f"{g.format()}: closed-form extra state")
@@ -223,8 +232,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
         # One closed-form ball serves the length suite and the language:
         # the language words are its standard representatives.  The table
-        # goes before the later suites, whose sorted copies of the ball set
-        # the audit's peak memory.
+        # is dropped once they are built, before the later suites run.
         table = LengthTable.build(args.radius)
         lengths = _length_suite(ball, table)
         report["suites"]["length_closed_form"] = lengths.to_dict()

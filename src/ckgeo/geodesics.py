@@ -158,20 +158,13 @@ def continuation_rule_letters(case: RegionCase) -> str:
 
 
 def is_dead_end(g: Element) -> bool:
-    """True iff no single letter increases the length of ``g``."""
-    return continuations(g) == ""
-
-
-def depth(g: Element) -> int:
-    """Dead-end depth: 0, since every element has a continuation.
-
-    The group has no dead ends (the dead-end audit certifies this on every
-    ball it builds), so an element without one means the closed forms are
-    wrong, and that raises RuntimeError.
-    """
-    if is_dead_end(g):
-        raise RuntimeError(f"{g} has no continuation; the group has no dead ends")
-    return 0
+    """True iff no single letter increases the length of ``g``, i.e.
+    ``continuations(g) == ""``; returns at the first letter that does."""
+    up = length(g) + 1
+    for h in right_neighbors(g):
+        if length(h) == up:
+            return False
+    return True
 
 
 def _count_geodesics(g: Element, comb: Callable[[int, int], int]) -> int:

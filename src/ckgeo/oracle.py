@@ -22,7 +22,7 @@ from .words import (
     format_word,
     free_reduce,
     LETTERS,
-    word_sort_key,
+    sort_words,
 )
 
 
@@ -144,6 +144,19 @@ class AuditReport:
         }
 
 
+def in_ball_order(failures: list[tuple[int, Hashable, str]]) -> tuple[str, ...]:
+    """The messages of ``(distance, state, message)`` failures, ordered by
+    distance, then state.
+
+    The per-state suites read a ball's states in whatever order its dict
+    holds and sort only their failures here, so their reports do not depend
+    on that order.  The sort is stable: a state with several failures keeps
+    them in the order they were found.
+    """
+    failures.sort(key=itemgetter(0, 1))
+    return tuple(message for _, _, message in failures)
+
+
 def audit_dead_ends(ball: BallIndex) -> AuditReport:
     """Scan a ball for dead-end candidates.
 
@@ -153,7 +166,8 @@ def audit_dead_ends(ball: BallIndex) -> AuditReport:
     keys come from the model's ``neighbors``.  For the central extension the
     closed-form :func:`ckgeo.geodesics.is_dead_end` verdict is cross-checked
     on every certified state; any disagreement between the two routes is
-    reported as a candidate.
+    reported as a candidate.  Candidates come in (distance, state) order
+    whatever the order of the ball's dict.
     """
     from .geodesics import is_dead_end
 
@@ -161,27 +175,28 @@ def audit_dead_ends(ball: BallIndex) -> AuditReport:
     ck = ball.model == "ck"
     get = ball.distances.get
     horizon = ball.radius - 1
-    candidates: list[str] = []
+    candidates: list[tuple[int, Hashable, str]] = []
     checked = 0
-    for state, d in ball.states_sorted():
+    for state, d in ball.distances.items():
         if d > horizon:
             continue
         checked += 1
-        ascending = 0
+        up = d + 1
         for child_key in neighbors(state):
-            if get(child_key, -1) == d + 1:
-                ascending += 1
-        if ascending == 0:
-            candidates.append(str(state))
-        elif ck and is_dead_end(state):
-            candidates.append(f"{state} (closed form disagrees)")
+            if get(child_key, -1) == up:
+                break
+        else:
+            candidates.append((d, state, str(state)))
+            continue
+        if ck and is_dead_end(state):
+            candidates.append((d, state, f"{state} (closed form disagrees)"))
     return AuditReport(
         model=ball.model,
         radius=ball.radius,
         standard_words_checked=checked,
         geodesic_failures=(),
         prefix_failures=(),
-        dead_end_candidates=tuple(candidates),
+        dead_end_candidates=in_ball_order(candidates),
         notes=(f"states certified: {checked} (distance <= {horizon})",),
     )
 
@@ -220,12 +235,23 @@ def check_standard_language(
       states) — defects land in ``geodesic_failures`` tagged ``coverage:``;
     * every language word of length < R is a proper prefix of some longer
       language word — failures land in ``prefix_failures``.
+
+    Word failures come in :func:`ckgeo.words.word_sort_key` order, then the
+    states with no word in the order of the ball's dict.  A word is
+    evaluated by one step from the state of its prefix when that prefix is a
+    freely reduced word of the language one letter shorter, and from scratch
+    otherwise; only the states of two lengths are kept.
     """
     model = get_model(ball.model)
+    step = model.step
     geodesic_failures: list[str] = []
     prefix_failures: list[str] = []
     seen: dict[Hashable, Word] = {}
-    words = sorted(set(words), key=word_sort_key)
+    words = sort_words(set(words))
+    # States of the reduced words of the previous length and of this one.
+    shorter: dict[Word, Hashable] = {}
+    level: dict[Word, Hashable] = {}
+    level_length = 0
     for w in words:
         if len(w) > ball.radius:
             geodesic_failures.append(f"coverage: {format_word(w)} exceeds horizon")
@@ -233,7 +259,14 @@ def check_standard_language(
         if free_reduce(w) != w:
             geodesic_failures.append(f"{format_word(w)} is not freely reduced")
             continue
-        state_key = model.evaluate(w)
+        if len(w) != level_length:
+            shorter, level, level_length = level, {}, len(w)
+        prefix_state = shorter.get(w[:-1])
+        if prefix_state is None:
+            state_key = model.evaluate(w)
+        else:
+            state_key = step(prefix_state, w[-1])
+        level[w] = state_key
         if ball.distances.get(state_key, -1) != len(w):
             geodesic_failures.append(f"{format_word(w)} is not geodesic")
         if state_key in seen:
@@ -254,7 +287,7 @@ def check_standard_language(
         for w, successor in zip(by_text, by_text[1:] + [None])
         if len(w) < ball.radius and not (successor and successor.startswith(w))
     ]
-    for w in sorted(terminal, key=word_sort_key):
+    for w in sort_words(terminal):
         prefix_failures.append(format_word(w))
     return AuditReport(
         model=ball.model,
@@ -320,17 +353,19 @@ def check_continuation_rules(ball: BallIndex) -> CheckReport:
     interior when n = 0 and k != 0).  The excluded (element, letter) pairs
     are counted in ``notes`` so the carve-out stays visible.  Each state's
     neighbours come from :func:`ckgeo.core.right_neighbors`, once per state.
+    Failures come in (distance, state) order, a state's in letter order,
+    whatever the order of the ball's dict.
     """
     if ball.model != "ck":
         raise ValueError("the continuation rule is specific to the ck model")
     from .geodesics import RegionCase, classify_region, continuation_rule_letters
 
-    failures: list[str] = []
+    failures: list[tuple[int, Hashable, str]] = []
     checked = 0
     carved_out = 0
     horizon = ball.radius - 1
     get = ball.distances.get
-    for state, d in ball.states_sorted():
+    for state, d in ball.distances.items():
         if d > horizon:
             continue
         _, m, n = state
@@ -347,12 +382,12 @@ def check_continuation_rules(ball: BallIndex) -> CheckReport:
                 continue
             if get(children[LETTERS.index(s)], -1) != d + 1:
                 failures.append(
-                    f"{Element(*state).format()} [{case.value}]: letter {s!r}"
+                    (d, state, f"{Element(*state).format()} [{case.value}]: letter {s!r}")
                 )
     return CheckReport(
         name="continuation-rules",
         checked=checked,
-        failures=tuple(failures),
+        failures=in_ball_order(failures),
         notes=(
             f"normalized elements with distance <= {horizon}",
             f"a-direction pairs excluded at n = 0: {carved_out}",
@@ -368,15 +403,16 @@ def check_last_letter(ball: BallIndex) -> CheckReport:
     distances (s ends a geodesic iff dist(g·s⁻¹) = dist(g) − 1) and from the
     closed-form length.  The two sets must be equal and nonempty.  g·s⁻¹ is
     read off :func:`ckgeo.core.right_neighbors` as the neighbour by s⁻¹, and
-    ``length`` runs once per state and once per neighbour.
+    ``length`` runs once per state and once per neighbour.  Failures come in
+    (distance, state) order whatever the order of the ball's dict.
     """
     if ball.model != "ck":
         raise ValueError("the last-letter rule is specific to the ck model")
     horizon = ball.radius - 1
-    failures: list[str] = []
+    failures: list[tuple[int, Hashable, str]] = []
     checked = 0
     get = ball.distances.get
-    for state, d in ball.states_sorted():
+    for state, d in ball.distances.items():
         if d == 0 or d > horizon:
             continue
         checked += 1
@@ -392,12 +428,16 @@ def check_last_letter(ball: BallIndex) -> CheckReport:
                 closed_set += s
         if oracle_set != closed_set or not oracle_set:
             failures.append(
-                f"{Element(*state).format()}: oracle last letters {oracle_set!r},"
-                f" closed form {closed_set!r}"
+                (
+                    d,
+                    state,
+                    f"{Element(*state).format()}: oracle last letters"
+                    f" {oracle_set!r}, closed form {closed_set!r}",
+                )
             )
     return CheckReport(
         name="last-letter",
         checked=checked,
-        failures=tuple(failures),
+        failures=in_ball_order(failures),
         notes=(f"elements with 1 <= distance <= {horizon}",),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .core import evaluate, lattice_path
 from .errors import MAX_GRID_POINTS, ResourceError
 from .moves import young_rectangle
-from .words import Word, format_word
+from .words import Word, format_word, syllables
 
 _GRID = "#d8d8d8"
 _PATH = "#1f77b4"
@@ -54,18 +54,36 @@ def _vertical_edges(points, sign: int) -> list[tuple[int, int, int]]:
     return edges
 
 
+def _run_ends(w: Word) -> tuple[list[int], list[int]]:
+    """The x and y coordinates of the lattice path of ``w`` at the ends of
+    its runs, the start included.
+
+    A run moves along one axis in one direction (a b-run's direction is set
+    by the parity of its column), so these points span the same box as the
+    whole path of :func:`ckgeo.core.lattice_path`.
+    """
+    x = y = 0
+    xs, ys = [0], [0]
+    for base, e in syllables(w):
+        if base == "a":
+            x += e
+        else:
+            y += -e if x & 1 else e
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
 def render_svg(spec: RenderSpec) -> str:
     """Render a word's lattice path as a standalone SVG document.
 
-    Raises :class:`ckgeo.errors.ResourceError` before any SVG text is built
-    when the drawing's grid (the bounding box of the path, and with
+    Raises :class:`ckgeo.errors.ResourceError` before any path or SVG text is
+    built when the drawing's grid (the bounding box of the path, and with
     ``show_young`` of the rectangle and the standard path) has more than
-    :data:`ckgeo.errors.MAX_GRID_POINTS` lattice points.
+    :data:`ckgeo.errors.MAX_GRID_POINTS` lattice points.  The boxes come
+    from the ends of the words' runs.
     """
-    points = lattice_path(spec.word)
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    young = None
+    xs, ys = _run_ends(spec.word)
     if spec.show_young:
         g = evaluate(spec.word)
         if g.m < 0 or g.n < 0:
@@ -76,10 +94,10 @@ def render_svg(spec: RenderSpec) -> str:
         from .geodesics import std_rep
 
         rect_corners = young_rectangle(g)
-        std_points = lattice_path(std_rep(g))
-        xs += [c[0] for c in rect_corners] + [p.x for p in std_points]
-        ys += [c[1] for c in rect_corners] + [p.y for p in std_points]
-        young = (rect_corners, std_points)
+        std_word = std_rep(g)
+        std_xs, std_ys = _run_ends(std_word)
+        xs += [c[0] for c in rect_corners] + std_xs
+        ys += [c[1] for c in rect_corners] + std_ys
     bounds = min(xs), max(xs), min(ys), max(ys)
     grid_points = (bounds[1] - bounds[0] + 1) * (bounds[3] - bounds[2] + 1)
     if grid_points > MAX_GRID_POINTS:
@@ -87,7 +105,8 @@ def render_svg(spec: RenderSpec) -> str:
             f"drawing spans {grid_points} grid points, over the budget of"
             f" {MAX_GRID_POINTS}"
         )
-    return _svg(spec, points, young, bounds)
+    young = (rect_corners, lattice_path(std_word)) if spec.show_young else None
+    return _svg(spec, lattice_path(spec.word), young, bounds)
 
 
 def _svg(spec: RenderSpec, points, young, bounds) -> str:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import enum
 import re
+from operator import methodcaller
+from typing import Iterable
 
 # Single letters and whole words are plain strings.
 Letter = str
@@ -45,6 +47,14 @@ _RANK_DIGITS = str.maketrans(LETTERS, "0123")
 def word_sort_key(w: Word) -> tuple[int, str]:
     """Sort key: length first, then canonical letter order."""
     return (len(w), w.translate(_RANK_DIGITS))
+
+
+def sort_words(words: Iterable[Word]) -> list[Word]:
+    """``sorted(words, key=word_sort_key)``, with C-level keys: sort by the
+    translated word, then stably by length."""
+    out = sorted(words, key=methodcaller("translate", _RANK_DIGITS))
+    out.sort(key=len)
+    return out
 
 
 def parse_word(text: str) -> Word:

@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs sixteen commands through ``ckgeo.cli.main`` and checks each exit code
+Runs eighteen commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -33,6 +33,9 @@ from ckgeo import cli
 # whose element has a 178-digit geodesic count, exits 3 before any walk.
 # The ck negative control exits 5 with the digest tests/test_cli.py pins, and
 # a 2001 x 2001 render grid is over the drawing budget: exit 3, no output.
+# The z2 negative control exits 5; its digest was recorded before the
+# language suite evaluated words from their prefixes.  The million-letter
+# --young render is refused from its run boxes: exit 3, no output.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -111,6 +114,16 @@ CASES = [
     ),
     (
         ["render", "a^2000 b^2000", "--cells"],
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["audit", "--model", "z2", "--radius", "8", "--negative-control"],
+        5,
+        "4aeb94edd48d265eb6829f88ebe184788dfce70f8d361d0cb69848220790a0a7",
+    ),
+    (
+        ["render", "a^1000000 b^1000000", "--young"],
         3,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),

@@ -339,6 +339,15 @@ class TestRender:
             assert (rc, out) == (3, "")
             assert "grid points" in err
 
+    def test_over_budget_fails_before_any_path(self, capsys, monkeypatch):
+        def no_path(w):
+            raise AssertionError("lattice path built for an over-budget drawing")
+
+        monkeypatch.setattr(render, "lattice_path", no_path)
+        rc, out, err = run(capsys, "render", "a^1000000 b^1000000", "--young")
+        assert (rc, out) == (3, "")
+        assert "grid points" in err
+
     def test_young_requires_normalized(self, capsys):
         rc, _, err = run(capsys, "render", "B", "--young")
         assert rc == 2

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckgeo import geodesics
 from ckgeo.core import IDENTITY, Element, evaluate, normalize_quadrant
 from ckgeo.geodesics import (
     RULE_LETTERS,
@@ -14,7 +13,6 @@ from ckgeo.geodesics import (
     closed_ball_elements,
     continuation_rule_letters,
     continuations,
-    depth,
     geodesic_count,
     is_dead_end,
     is_geodesic,
@@ -197,7 +195,6 @@ class TestContinuations:
 class TestDeadEnds:
     def test_spec_sample_is_not_a_dead_end(self):
         assert not is_dead_end(Element(-3, 7, 2))
-        assert depth(Element(-3, 7, 2)) == 0
 
     def test_identity(self):
         assert not is_dead_end(IDENTITY)
@@ -205,13 +202,18 @@ class TestDeadEnds:
     def test_none_in_ball(self):
         for g in closed_ball_elements(6):
             assert not is_dead_end(g)
-            assert depth(g) == 0
 
-    def test_depth_refuses_a_dead_end(self, monkeypatch):
-        # No element is a dead end, so fake one: depth must raise, not search.
-        monkeypatch.setattr(geodesics, "continuations", lambda g: "")
-        with pytest.raises(RuntimeError, match="no continuation"):
-            depth(Element(2, 1, 3))
+    def test_matches_continuations_on_box(self):
+        for k in range(-6, 7):
+            for m in range(-6, 7):
+                for n in range(-6, 7):
+                    g = Element(k, m, n)
+                    assert is_dead_end(g) == (continuations(g) == ""), g
+
+    @given(*(st.integers(min_value=-10**6, max_value=10**6) for _ in range(3)))
+    def test_matches_continuations(self, k, m, n):
+        g = Element(k, m, n)
+        assert is_dead_end(g) == (continuations(g) == "")
 
 
 def _reference_geodesic_count(g):

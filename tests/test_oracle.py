@@ -1,12 +1,15 @@
 import dataclasses
 import io
+import random
 
 import pytest
 
 from ckgeo import kernels
+from ckgeo.cli import _length_suite
 from ckgeo.core import GENERATORS, Element, inverse, multiply
 from ckgeo.errors import BallBudgetError, GeodesicCapError
 from ckgeo.geodesics import (
+    LengthTable,
     RegionCase,
     classify_region,
     continuation_rule_letters,
@@ -29,7 +32,7 @@ from ckgeo.oracle import (
     expected_terminal_words,
     standard_words,
 )
-from ckgeo.words import LETTERS, format_word, word_sort_key
+from ckgeo.words import LETTERS, format_word, free_reduce, word_sort_key
 
 
 class TestBuildBall:
@@ -402,6 +405,80 @@ def _reference_last_letter(ball):
     )
 
 
+def _reference_length_suite(ball, table):
+    failures = []
+    entries = table.entries
+    for state, d in _rows(ball):
+        closed = entries.get(state)
+        if closed is None:
+            failures.append(f"{Element(*state).format()}: missing from closed-form ball")
+        elif closed != d:
+            failures.append(f"{Element(*state).format()}: closed form {closed}, oracle {d}")
+    for g in entries:
+        if g not in ball.distances:
+            failures.append(f"{g.format()}: closed-form extra state")
+    return CheckReport(
+        name="length-closed-form",
+        checked=len(ball),
+        failures=tuple(failures),
+        notes=(f"closed-form ball size {len(table)}",),
+    )
+
+
+def _reference_standard_language(name, words, ball):
+    """check_standard_language evaluating every word from scratch."""
+    model = get_model(ball.model)
+    geodesic_failures = []
+    prefix_failures = []
+    seen = {}
+    words = sorted(set(words), key=word_sort_key)
+    for w in words:
+        if len(w) > ball.radius:
+            geodesic_failures.append(f"coverage: {format_word(w)} exceeds horizon")
+            continue
+        if free_reduce(w) != w:
+            geodesic_failures.append(f"{format_word(w)} is not freely reduced")
+            continue
+        state_key = model.evaluate(w)
+        if ball.distances.get(state_key, -1) != len(w):
+            geodesic_failures.append(f"{format_word(w)} is not geodesic")
+        if state_key in seen:
+            geodesic_failures.append(
+                f"coverage: {format_word(w)} duplicates {format_word(seen[state_key])}"
+            )
+        else:
+            seen[state_key] = w
+    for state in ball.distances:
+        if state not in seen:
+            geodesic_failures.append(f"coverage: no word for state {state}")
+    by_text = sorted(words)
+    terminal = [
+        w
+        for w, successor in zip(by_text, by_text[1:] + [None])
+        if len(w) < ball.radius and not (successor and successor.startswith(w))
+    ]
+    for w in sorted(terminal, key=word_sort_key):
+        prefix_failures.append(format_word(w))
+    return AuditReport(
+        model=ball.model,
+        radius=ball.radius,
+        standard_words_checked=len(words),
+        geodesic_failures=tuple(geodesic_failures),
+        prefix_failures=tuple(prefix_failures),
+        dead_end_candidates=(),
+        notes=(f"language: {name}",),
+    )
+
+
+def _shuffled(ball, seed=0):
+    """The ball with its distance dict in a seeded random key order."""
+    items = list(ball.distances.items())
+    random.Random(seed).shuffle(items)
+    shuffled = dataclasses.replace(ball, distances=dict(items))
+    assert list(shuffled.distances) != list(ball.distances)
+    return shuffled
+
+
 def _clipped(ball, radius):
     """The ball cut back to the states at distance <= ``radius``."""
     distances = {state: d for state, d in ball.distances.items() if d <= radius}
@@ -430,22 +507,31 @@ class TestPerStateChecksMatchReferences:
             return ball, False
         return _tampered(ball, *request.param), True
 
+    # Each check also runs on the ball with its dict shuffled: the reports
+    # sort only their failures, so the key order must not show.
+
     def test_dead_ends(self, balls):
         ball, tampered = balls
+        ref = _reference_dead_ends(ball).to_dict()
         rep = audit_dead_ends(ball)
-        assert rep.to_dict() == _reference_dead_ends(ball).to_dict()
+        assert rep.to_dict() == ref
+        assert audit_dead_ends(_shuffled(ball)).to_dict() == ref
         assert bool(rep.dead_end_candidates) == tampered
 
     def test_continuation_rules(self, balls):
         ball, tampered = balls
+        ref = _reference_continuation_rules(ball).to_dict()
         rep = check_continuation_rules(ball)
-        assert rep.to_dict() == _reference_continuation_rules(ball).to_dict()
+        assert rep.to_dict() == ref
+        assert check_continuation_rules(_shuffled(ball)).to_dict() == ref
         assert bool(rep.failures) == tampered
 
     def test_last_letter(self, balls):
         ball, tampered = balls
+        ref = _reference_last_letter(ball).to_dict()
         rep = check_last_letter(ball)
-        assert rep.to_dict() == _reference_last_letter(ball).to_dict()
+        assert rep.to_dict() == ref
+        assert check_last_letter(_shuffled(ball)).to_dict() == ref
         assert bool(rep.failures) == tampered
         for horizon in (1, 5, ball.radius - 1):
             clipped = _clipped(ball, horizon + 1)
@@ -453,10 +539,65 @@ class TestPerStateChecksMatchReferences:
             ref = _reference_last_letter(clipped)
             assert rep.to_dict() == ref.to_dict()
 
+    def test_length_suite(self, balls):
+        ball, tampered = balls
+        table = LengthTable.build(ball.radius)
+        ref = _reference_length_suite(ball, table).to_dict()
+        rep = _length_suite(ball, table)
+        assert rep.to_dict() == ref
+        assert _length_suite(_shuffled(ball), table).to_dict() == ref
+        assert bool(rep.failures) == tampered
+        clipped = _clipped(ball, ball.radius - 2)
+        ref = _reference_length_suite(clipped, table).to_dict()
+        assert _length_suite(_shuffled(clipped), table).to_dict() == ref
+
     @pytest.mark.parametrize("name", ["klein", "z2"])
     def test_dead_ends_other_models(self, name):
-        ball = build_ball(name, 8)
-        tampered = _tampered(ball, (1, 2), 1)
-        for b in (ball, tampered):
-            assert audit_dead_ends(b).to_dict() == _reference_dead_ends(b).to_dict()
-        assert audit_dead_ends(tampered).dead_end_candidates
+        for radius in (8, 12):
+            ball = build_ball(name, radius)
+            tampered = _tampered(ball, (1, 2), 1)
+            for b in (ball, tampered):
+                ref = _reference_dead_ends(b).to_dict()
+                assert audit_dead_ends(b).to_dict() == ref
+                assert audit_dead_ends(_shuffled(b)).to_dict() == ref
+            assert audit_dead_ends(tampered).dead_end_candidates
+
+
+def _defective_language(model, radius, seed):
+    """The standard words of ``model`` up to ``radius``, each tenth dropped
+    (so some words' prefixes are missing), with duplicates, random words
+    (unreduced, non-geodesic or both) and words past the horizon added."""
+    rng = random.Random(seed)
+    words = standard_words(model, radius)
+    kept = [w for i, w in enumerate(words) if i % 10]
+    extra = [
+        "".join(rng.choice(LETTERS) for _ in range(rng.randint(0, radius + 2)))
+        for _ in range(200)
+    ]
+    past = [w for w in standard_words(model, radius + 1) if len(w) > radius][:20]
+    return kept + rng.sample(kept, 50) + extra + past
+
+
+class TestStandardLanguageMatchesReference:
+    @pytest.mark.parametrize(
+        "model,radius,seed", [("ck", 8, 1), ("ck", 12, 2), ("z2", 8, 3), ("z2", 12, 4)]
+    )
+    def test_defective_words(self, model, radius, seed):
+        ball = build_ball(model, radius)
+        words = _defective_language(model, radius, seed)
+        ref = _reference_standard_language("lang", words, ball)
+        assert ref.geodesic_failures and ref.prefix_failures
+        assert check_standard_language("lang", words, ball) == ref
+        shuffled = _shuffled(ball)
+        assert (
+            check_standard_language("lang", words, shuffled)
+            == _reference_standard_language("lang", words, shuffled)
+        )
+
+    @pytest.mark.parametrize("model,radius", [("ck", 8), ("z2", 8)])
+    def test_standard_and_truncated_words(self, model, radius):
+        ball = build_ball(model, radius)
+        for cap in (radius, radius - 2):
+            words = standard_words(model, cap)
+            ref = _reference_standard_language("lang", words, ball)
+            assert check_standard_language("lang", words, ball) == ref

@@ -2,10 +2,11 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from ckgeo.core import Element
+from ckgeo.core import Element, lattice_path
 from ckgeo.geodesics import std_rep
-from ckgeo.render import RenderSpec, render_svg, write_svg
+from ckgeo.render import RenderSpec, _run_ends, render_svg, write_svg
 from ckgeo.words import parse_word
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,3 +111,16 @@ class TestStructure:
         with pytest.raises(ValueError):
             RenderSpec(word="ab", cell_size=1)
         render_svg(RenderSpec(word="ab", cell_size=4))
+
+
+class TestBudgetBox:
+    @given(st.text(alphabet="aAbB", max_size=40))
+    def test_run_ends_span_the_path(self, w):
+        xs, ys = _run_ends(w)
+        points = lattice_path(w)
+        assert (min(xs), max(xs), min(ys), max(ys)) == (
+            min(p.x for p in points),
+            max(p.x for p in points),
+            min(p.y for p in points),
+            max(p.y for p in points),
+        )

@@ -14,6 +14,7 @@ from ckgeo.words import (
     free_reduce,
     is_reduced,
     parse_word,
+    sort_words,
     syllables,
     word_inverse,
     word_sort_key,
@@ -235,3 +236,4 @@ class TestSortKey:
         rank = {c: i for i, c in enumerate(LETTERS)}
         by_tuple = sorted(words, key=lambda w: (len(w), tuple(rank[c] for c in w)))
         assert sorted(words, key=word_sort_key) == by_tuple
+        assert sort_words(words) == by_tuple
