@@ -26,7 +26,14 @@ from .errors import (
     ParseError,
     ResourceError,
 )
-from .geodesics import LengthTable, continuations, is_geodesic, length, std_rep
+from .geodesics import (
+    LengthTable,
+    _std_syllables,
+    continuations,
+    is_geodesic,
+    length,
+    std_rep,
+)
 from .moves import check_theorem2, orbit
 from .oracle import (
     BallIndex,
@@ -41,7 +48,7 @@ from .oracle import (
     standard_words,
 )
 from .render import RenderSpec, render_svg, write_svg
-from .words import format_word, parse_word
+from .words import _format_syllables, format_word, parse_word
 
 DEFAULT_SEED = 2024
 
@@ -63,7 +70,7 @@ def _cmd_len(args: argparse.Namespace) -> int:
 
 
 def _cmd_std(args: argparse.Namespace) -> int:
-    print(format_word(std_rep(Element.parse(args.element))))
+    print(_format_syllables(_std_syllables(Element.parse(args.element))))
     return EXIT_OK
 
 

@@ -21,13 +21,11 @@ where par(n) ∈ {0, 1} is the parity of n.
 
 from __future__ import annotations
 
-import enum
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParseError
-from .words import Letter, LetterMapKind, Word
+from .words import Letter, Word
 
 
 class Element(NamedTuple):
@@ -126,8 +124,7 @@ def evaluate(w: Word) -> Element:
     return Element(k, m, n)
 
 
-@dataclass(frozen=True)
-class PathPoint:
+class PathPoint(NamedTuple):
     """A lattice-path vertex with the signed area swept so far."""
 
     x: int
@@ -165,86 +162,6 @@ def lattice_path(w: Word) -> list[PathPoint]:
     return points
 
 
-class IsometryKind(enum.Enum):
-    """Self-isometries of the group used to normalize into m ≥ 0, n ≥ 0.
-
-    ``N_FLIP`` negates the a-coordinate: (k, m, n) ↦ (k, m, −n); it is induced
-    by the letter map that swaps a ↔ a⁻¹.  ``FULL_FLIP`` is inversion-like
-    negation of all coordinates: (k, m, n) ↦ (−k, −m, −n); it is induced by
-    inverting every letter.  The two commute and are involutions.
-    """
-
-    N_FLIP = "n_flip"
-    FULL_FLIP = "full_flip"
-
-
-_ISOMETRY_LETTER_MAP = {
-    IsometryKind.N_FLIP: LetterMapKind.FLIP_A,
-    IsometryKind.FULL_FLIP: LetterMapKind.FLIP_BOTH,
-}
-
-
-def letter_map_for(kind: IsometryKind) -> LetterMapKind:
-    """The alphabet bijection that induces a given isometry."""
-    return _ISOMETRY_LETTER_MAP[kind]
-
-
-def apply_isometry(kind: IsometryKind, g: Element) -> Element:
-    if kind is IsometryKind.N_FLIP:
-        return Element(g.k, g.m, -g.n)
-    if kind is IsometryKind.FULL_FLIP:
-        return Element(-g.k, -g.m, -g.n)
-    raise ValueError(f"unknown isometry: {kind!r}")
-
-
 def is_normalized(g: Element) -> bool:
     """True iff g lies in the preferred quadrant m ≥ 0, n ≥ 0."""
     return g.m >= 0 and g.n >= 0
-
-
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """Result of moving an element into the quadrant m ≥ 0, n ≥ 0.
-
-    ``applied`` lists the isometries used, in application order.  Because the
-    induced letter maps commute, applying them (in any order) to a word for
-    ``normalized`` yields a word for ``original`` and vice versa.
-    """
-
-    original: Element
-    normalized: Element
-    applied: tuple[IsometryKind, ...]
-
-    def pull_back_word(self, w: Word) -> Word:
-        """Map a word for ``normalized`` to a word for ``original``."""
-        from .words import apply_letter_map
-
-        for kind in self.applied:
-            w = apply_letter_map(letter_map_for(kind), w)
-        return w
-
-
-def normalize_quadrant(g: Element) -> NormalizationRecord:
-    """Normalize into m ≥ 0, n ≥ 0 using the fewest flips.
-
-    Preference order when several choices work (i.e. on the axes):
-    no flip, then N_FLIP alone, then FULL_FLIP alone, then both.
-    """
-    if g.m >= 0 and g.n >= 0:
-        return NormalizationRecord(g, g, ())
-    if g.m >= 0 and g.n < 0:
-        return NormalizationRecord(g, Element(g.k, g.m, -g.n), (IsometryKind.N_FLIP,))
-    if g.m < 0 and g.n <= 0:
-        return NormalizationRecord(
-            g, Element(-g.k, -g.m, -g.n), (IsometryKind.FULL_FLIP,)
-        )
-    return NormalizationRecord(
-        g,
-        Element(-g.k, -g.m, g.n),
-        (IsometryKind.FULL_FLIP, IsometryKind.N_FLIP),
-    )
-
-
-def project_to_klein(g: Element) -> tuple[int, int]:
-    """Quotient by the centre ⟨t⟩: forget k, keep (m, n)."""
-    return (g.m, g.n)

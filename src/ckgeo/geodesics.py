@@ -14,28 +14,31 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import Element, evaluate, right_neighbors
 from .words import LETTERS, Word
 
 
-#: Letter maps that pull a normalized word back, keyed by (full flip, n-flip):
-#: the full flip inverts every letter, the n-flip swaps a with a⁻¹, and the
-#: two together swap b with b⁻¹.
-_PULL_BACK = {
-    (True, False): str.maketrans("aAbB", "AaBb"),
-    (False, True): str.maketrans("aA", "Aa"),
-    (True, True): str.maketrans("bB", "Bb"),
-}
+def _std_syllables(g: Element) -> list[tuple[str, int]]:
+    """The runs of :func:`std_rep`'s word as ``(base, signed_exponent)``
+    pairs, as :func:`ckgeo.words.syllables` would read them: at most four,
+    none empty and no two neighbours with the same base.  Builds no word.
 
+    For normalized g = (k, m, n) the word is b^{k+m} · a · b^{k} · a^{n−1};
+    pulled back through the flip letter maps it reads, in every quadrant,
 
-def _run(letter: str, signed: int) -> str:
-    """A run of ``signed`` copies of a generator (negative = inverse)."""
-    if signed >= 0:
-        return letter * signed
-    return letter.upper() * (-signed)
+        b^{k+m} · a^{s} · b^{k} · a^{n−s},  s = 1 if n > 0 or n = 0 <= m, else −1.
+
+    At k = 0 the two a-runs meet as a^{n}, and at k = n = 0 they cancel.
+    """
+    k, m, n = g
+    if k == 0:
+        runs = (("b", m), ("a", n))
+    else:
+        s = 1 if n > 0 or (n == 0 and m >= 0) else -1
+        runs = (("b", k + m), ("a", s), ("b", k), ("a", n - s))
+    return [run for run in runs if run[1]]
 
 
 def std_rep(g: Element) -> Word:
@@ -49,32 +52,20 @@ def std_rep(g: Element) -> Word:
     b-steps in the second, and the remaining a-steps close the word (an a⁻¹
     when n = 0).  The only cancellation is a·a⁻¹ at k = n = 0.  For other
     quadrants the word is pulled back through the flip letter maps, so
-    ``evaluate(std_rep(g)) == g`` always.  Normalizes inline, with the flips
-    :func:`normalize_quadrant` chooses: the full flip when m < 0, then the
-    n-flip when n is still negative.
+    ``evaluate(std_rep(g)) == g`` always.  The word joins the runs of
+    :func:`_std_syllables`, which states the pulled-back form.
     """
-    k, m, n = g
-    flip_all = m < 0
-    if flip_all:
-        k, m, n = -k, -m, -n
-    flip_a = n < 0
-    if flip_a:
-        n = -n
-    if k == 0 and n == 0:
-        word = "b" * m
-    else:
-        word = _run("b", k + m) + "a" + _run("b", k) + _run("a", n - 1)
-    if flip_all or flip_a:
-        word = word.translate(_PULL_BACK[flip_all, flip_a])
-    return word
+    return "".join(
+        [base * e if e > 0 else base.upper() * -e for base, e in _std_syllables(g)]
+    )
 
 
 def length(g: Element) -> int:
     """Word length of ``g`` (closed form).
 
     Normalized coordinates: m + n when k = 0, else |k+m| + |k| + 1 + |n−1|.
-    Normalizes inline, as :func:`normalize_quadrant` does: the audits call
-    this hundreds of thousands of times and need no flip record.
+    Normalizes inline, the full flip when m < 0, then the n-flip when n is
+    still negative: the audits call this hundreds of thousands of times.
     """
     k, m, n = g
     if m < 0:
@@ -224,12 +215,14 @@ def closed_ball_elements(radius: int) -> list[Element]:
     return out
 
 
-@dataclass(frozen=True)
 class LengthTable:
-    """Frozen map element -> closed-form length over a whole ball."""
+    """Map element -> closed-form length over a whole ball."""
 
-    radius: int
-    entries: dict[Element, int] = field(repr=False)
+    __slots__ = ("radius", "entries")
+
+    def __init__(self, radius: int, entries: dict[Element, int]) -> None:
+        self.radius = radius
+        self.entries = entries
 
     @classmethod
     def build(cls, radius: int) -> "LengthTable":

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .core import Element, evaluate, is_normalized
@@ -418,8 +417,7 @@ def orbit(
     return sorted(seen, key=format_word)
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     """Comparison of a move orbit against the exhaustive geodesic set."""
 
     element: Element
@@ -529,8 +527,7 @@ def check_theorem2(
     )
 
 
-@dataclass(frozen=True)
-class YoungDecomposition:
+class YoungDecomposition(NamedTuple):
     """Geodesic word of a normalized element, as rectangle + two diagrams.
 
     The lattice path of any geodesic stays inside a rectangle determined by

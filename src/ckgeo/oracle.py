@@ -8,17 +8,17 @@ routes.  The oracle is the ground truth the formulas are certified against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import IO, Hashable, Iterable, Mapping
+from typing import IO, Hashable, Iterable, Mapping, NamedTuple
 
 from . import kernels
 from .core import Element, right_neighbors
 from .errors import GEODESIC_CAP, MAX_STATES
-from .geodesics import closed_ball_elements, length, std_rep
+from .geodesics import _std_syllables, closed_ball_elements, length, std_rep
 from .models import GroupModel, get_model
 from .words import (
     Word,
+    _format_syllables,
     format_word,
     free_reduce,
     LETTERS,
@@ -26,9 +26,8 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
 class BallIndex:
-    """Frozen BFS ball: state -> distance, plus per-level counts.
+    """BFS ball: state -> distance, plus per-level counts.
 
     ``distances`` is keyed by the model's canonical state keys (coordinate
     tuples).  ``frontier_sizes[d]`` is the number of states at distance
@@ -36,10 +35,19 @@ class BallIndex:
     ``len(distances)``.
     """
 
-    model: str
-    radius: int
-    distances: Mapping[Hashable, int] = field(repr=False)
-    frontier_sizes: tuple[int, ...]
+    __slots__ = ("model", "radius", "distances", "frontier_sizes")
+
+    def __init__(
+        self,
+        model: str,
+        radius: int,
+        distances: Mapping[Hashable, int],
+        frontier_sizes: tuple[int, ...],
+    ) -> None:
+        self.model = model
+        self.radius = radius
+        self.distances = distances
+        self.frontier_sizes = frontier_sizes
 
     def __len__(self) -> int:
         return len(self.distances)
@@ -104,8 +112,7 @@ def enumerate_geodesics(
     return kernels.ck_geodesics(ball.distances, tuple(g), cap)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of a bulk audit.
 
     ``standard_words_checked`` counts the items certified (language words
@@ -300,8 +307,7 @@ def check_standard_language(
     )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Small report for pointwise equivalence checks."""
 
     name: str
@@ -338,7 +344,7 @@ def expected_terminal_words(max_length: int) -> frozenset[str]:
     span = range(-max_length, max_length + 1)
     axis = (Element(k, m, 0) for k in span if k for m in span)
     return frozenset(
-        format_word(std_rep(g)) for g in axis if length(g) <= max_length
+        _format_syllables(_std_syllables(g)) for g in axis if length(g) <= max_length
     )
 
 

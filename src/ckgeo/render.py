@@ -15,7 +15,6 @@ rightward along the top edge in even columns, leftward in odd columns.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import evaluate, lattice_path
 from .errors import MAX_GRID_POINTS, ResourceError
@@ -31,18 +30,24 @@ _SHADE = "#ffd97a"
 _GLYPH = "#8a8a8a"
 
 
-@dataclass(frozen=True)
 class RenderSpec:
     """What to draw: a word plus layer toggles and the cell pixel size."""
 
-    word: Word
-    cell_size: int = 24
-    show_cells: bool = False
-    show_young: bool = False
+    __slots__ = ("word", "cell_size", "show_cells", "show_young")
 
-    def __post_init__(self) -> None:
-        if self.cell_size < 4:
+    def __init__(
+        self,
+        word: Word,
+        cell_size: int = 24,
+        show_cells: bool = False,
+        show_young: bool = False,
+    ) -> None:
+        if cell_size < 4:
             raise ValueError("cell_size must be at least 4 pixels")
+        self.word = word
+        self.cell_size = cell_size
+        self.show_cells = show_cells
+        self.show_young = show_young
 
 
 def _vertical_edges(points, sign: int) -> list[tuple[int, int, int]]:

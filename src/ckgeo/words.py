@@ -2,9 +2,9 @@
 
 A word is a plain ``str`` over the four letters ``a``, ``A``, ``b``, ``B``,
 where the uppercase form of a letter is its inverse.  Words are *not*
-implicitly reduced: ``free_reduce`` and ``is_reduced`` make reduction an
-explicit, testable step.  The canonical letter order used for every
-deterministic enumeration in the toolkit is ``a < A < b < B``.
+implicitly reduced: ``free_reduce`` makes reduction an explicit, testable
+step.  The canonical letter order used for every deterministic enumeration
+in the toolkit is ``a < A < b < B``.
 
 Text syntax (accepted by :func:`parse_word`, produced by :func:`format_word`):
 tokens separated by optional whitespace, each token a letter optionally
@@ -15,7 +15,6 @@ The empty word formats as ``"e"`` and ``"e"`` parses back to it.
 
 from __future__ import annotations
 
-import enum
 import re
 from operator import methodcaller
 from typing import Iterable
@@ -119,30 +118,20 @@ def syllables(w: Word) -> list[tuple[str, int]]:
     ]
 
 
+def _format_syllables(runs: Iterable[tuple[str, int]]) -> str:
+    """Text of ``(base, signed_exponent)`` runs, e.g. ``"b^-2 a b^-4 a^3"``;
+    ``"e"`` when there are none.  Consecutive runs must have different
+    bases for the text to parse back to the same word."""
+    return " ".join([base if e == 1 else f"{base}^{e}" for base, e in runs]) or "e"
+
+
 def format_word(w: Word) -> str:
     """Human-readable syllable form, e.g. ``"b^-2 a b^-4 a^3"``; ``"e"`` when empty."""
-    if not w:
-        return "e"
-    parts = []
-    for run in _runs(w):
-        c = run[0]
-        if c in "ab":
-            parts.append(c if len(run) == 1 else f"{c}^{len(run)}")
-        else:
-            parts.append(f"{c.lower()}^-{len(run)}")
-    return " ".join(parts)
+    return _format_syllables(syllables(w))
 
 
 _DELETE_LETTERS = str.maketrans("", "", LETTERS)
 _CANCELLING_PAIR = re.compile("aA|Aa|bB|Bb")
-
-
-def is_reduced(w: Word) -> bool:
-    """True iff no adjacent pair of characters cancels (one is the other's
-    case swap).  A word of letters only is answered by one regex scan."""
-    if not w.translate(_DELETE_LETTERS):
-        return _CANCELLING_PAIR.search(w) is None
-    return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
 
 
 def free_reduce(w: Word) -> Word:
@@ -158,42 +147,3 @@ def free_reduce(w: Word) -> Word:
         else:
             stack.append(c)
     return "".join(stack)
-
-
-def word_inverse(w: Word) -> Word:
-    """Formal inverse: reverse the word and invert each letter."""
-    return w[::-1].swapcase()
-
-
-class LetterMapKind(enum.Enum):
-    """Alphabet bijections that induce isometries of the group.
-
-    ``FLIP_A`` swaps ``a`` with its inverse and fixes ``b``; ``FLIP_BOTH``
-    inverts every letter (whole-word case swap).
-    """
-
-    FLIP_A = "flip_a"
-    FLIP_BOTH = "flip_both"
-
-
-_FLIP_A_TABLE = str.maketrans("aA", "Aa")
-
-
-def apply_letter_map(kind: LetterMapKind, w: Word) -> Word:
-    """Apply a letter map to every letter of ``w`` (length is preserved)."""
-    if kind is LetterMapKind.FLIP_A:
-        return w.translate(_FLIP_A_TABLE)
-    if kind is LetterMapKind.FLIP_BOTH:
-        return w.swapcase()
-    raise ValueError(f"unknown letter map: {kind!r}")
-
-
-def cyclic_shifts(w: Word) -> list[Word]:
-    """All rotations ``w[i:] + w[:i]`` in order of the split point ``i``.
-
-    The length-0 word has the single rotation ``""``.  Rotations are returned
-    with multiplicity (callers dedupe when they need the set).
-    """
-    if not w:
-        return [""]
-    return [w[i:] + w[:i] for i in range(len(w))]

@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs eighteen commands through ``ckgeo.cli.main`` and checks each exit code
+Runs nineteen commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -35,7 +35,8 @@ from ckgeo import cli
 # a 2001 x 2001 render grid is over the drawing budget: exit 3, no output.
 # The z2 negative control exits 5; its digest was recorded before the
 # language suite evaluated words from their prefixes.  The million-letter
-# --young render is refused from its run boxes: exit 3, no output.
+# --young render is refused from its run boxes: exit 3, no output.  The last
+# std prints a ten-billion-letter word from its runs, without building it.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -126,6 +127,11 @@ CASES = [
         ["render", "a^1000000 b^1000000", "--young"],
         3,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["std", "(3,-7,10000000000)"],
+        0,
+        "4dc7722516524da15bf929a2d660e4049bf3ce112ae9063a61ddb1d5c13171f4",
     ),
 ]
 

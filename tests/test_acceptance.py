@@ -21,14 +21,11 @@ from ckgeo.core import (
     CENTRAL_WORD,
     IDENTITY,
     Element,
-    apply_isometry,
     evaluate,
     inverse,
-    IsometryKind,
+    is_normalized,
     lattice_path,
-    letter_map_for,
     multiply,
-    normalize_quadrant,
 )
 from ckgeo.geodesics import (
     classify_region,
@@ -57,7 +54,16 @@ from ckgeo.oracle import (
     expected_terminal_words,
     standard_words,
 )
-from ckgeo.words import LETTERS, apply_letter_map, cyclic_shifts, is_reduced, word_inverse
+from ckgeo.words import LETTERS
+from references import (
+    IsometryKind,
+    apply_isometry,
+    apply_letter_map,
+    cyclic_shifts,
+    is_reduced,
+    letter_map_for,
+    word_inverse,
+)
 
 SEED = 2024
 
@@ -140,7 +146,7 @@ def test_a07_continuation_rule_letters_literal(ball12):
         if d > 11:
             continue
         g = Element(*key)
-        if g.k == 0 or normalize_quadrant(g).applied:
+        if g.k == 0 or not is_normalized(g):
             continue
         rule = continuation_rule_letters(classify_region(g))
         for s in rule:
@@ -154,7 +160,7 @@ def test_a07_continuation_rule_letters_certified(ball12):
         if d > 11:
             continue
         g = Element(*key)
-        if g.k == 0 or normalize_quadrant(g).applied:
+        if g.k == 0 or not is_normalized(g):
             continue
         rule = continuation_rule_letters(classify_region(g))
         for s in rule:
@@ -168,7 +174,7 @@ def test_a07_continuation_rule_letters_certified(ball12):
         key
         for key, d in ball12.distances.items()
         if d <= 11 and key[0] != 0 and key[2] == 0
-        and not normalize_quadrant(Element(*key)).applied
+        and is_normalized(Element(*key))
     }
     assert {key for key, _ in violations} == axis
     assert len(violations) == 85
@@ -262,7 +268,7 @@ def test_a12_isometries_and_diagram_round_trip(ball12, ball8):
     # Diagram data classifies geodesics one-to-one and reconstructs them.
     for key, dist in ball8.distances.items():
         g = Element(*key)
-        if normalize_quadrant(g).applied:
+        if not is_normalized(g):
             continue
         seen = set()
         for w in enumerate_geodesics(ball8, g):

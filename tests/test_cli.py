@@ -1,8 +1,12 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ckgeo
 from ckgeo import cli, geodesics, moves, oracle, render
 from ckgeo.cli import main
 from ckgeo.errors import BallBudgetError
@@ -41,9 +45,38 @@ class TestEvalLenStd:
         rc, out, _ = run(capsys, "std", "(0,0,10000000)")
         assert (rc, out) == (0, "a^10000000\n")
 
+    def test_std_prints_runs_without_the_word(self, capsys, monkeypatch):
+        # Ten billion letters: std formats the runs of the standard word and
+        # never builds it.
+        def no_word(g):
+            raise AssertionError("std built the word")
+
+        monkeypatch.setattr(cli, "std_rep", no_word)
+        monkeypatch.setattr(geodesics, "std_rep", no_word)
+        rc, out, _ = run(capsys, "std", "(3,-7,10000000000)")
+        assert (rc, out) == (0, "b^-4 a b^3 a^9999999999\n")
+
     def test_continuations(self, capsys):
         rc, out, _ = run(capsys, "continuations", "(3,0,0)")
         assert (rc, out) == (0, "b\n")
+
+
+def test_startup_loads_no_dataclasses_or_inspect():
+    # Every CLI process starts with these imports; dataclasses, and the
+    # inspect it loads, would be about a third of their cost.  -S keeps site
+    # hooks from loading either module first, -B keeps bytecode out of src.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ckgeo, ckgeo.cli;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = Path(ckgeo.__file__).resolve().parent.parent
+    child = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
 
 
 class TestIsGeodesic:

@@ -9,20 +9,24 @@ from ckgeo.core import (
     GENERATORS,
     IDENTITY,
     Element,
-    IsometryKind,
-    apply_isometry,
     evaluate,
     inverse,
     is_normalized,
     lattice_path,
-    letter_map_for,
     multiply,
-    normalize_quadrant,
-    project_to_klein,
     right_neighbors,
 )
 from ckgeo.errors import ParseError
-from ckgeo.words import LETTERS, apply_letter_map, word_inverse
+from ckgeo.words import LETTERS
+from references import (
+    IsometryKind,
+    apply_isometry,
+    apply_letter_map,
+    letter_map_for,
+    normalize_quadrant,
+    project_to_klein,
+    word_inverse,
+)
 
 SEED = 2024
 

@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckgeo.core import IDENTITY, Element, evaluate, normalize_quadrant
+from ckgeo.core import IDENTITY, Element, evaluate, is_normalized
 from ckgeo.geodesics import (
     RULE_LETTERS,
     LengthTable,
     RegionCase,
+    _std_syllables,
     classify_region,
     closed_ball_elements,
     continuation_rule_letters,
@@ -19,7 +20,8 @@ from ckgeo.geodesics import (
     length,
     std_rep,
 )
-from ckgeo.words import format_word, free_reduce, is_reduced
+from ckgeo.words import _format_syllables, format_word, free_reduce, syllables
+from references import is_reduced, normalize_quadrant
 
 SEED = 352
 
@@ -53,6 +55,26 @@ class TestStdRep:
             assert is_reduced(w)
             assert evaluate(w) == g
             assert len(w) == dist
+
+    def test_runs_on_box(self):
+        # The runs std prints are those of the word std_rep builds, and they
+        # format to the same text: every quadrant, axis and parity of n.
+        for k in range(-8, 9):
+            for m in range(-8, 9):
+                for n in range(-8, 9):
+                    g = Element(k, m, n)
+                    runs = _std_syllables(g)
+                    assert runs == syllables(std_rep(g)), g
+                    assert _format_syllables(runs) == format_word(std_rep(g)), g
+
+    @settings(max_examples=30, deadline=None)  # words of up to 4·10⁶ letters
+    @given(*(st.integers(min_value=-10**6, max_value=10**6) for _ in range(3)))
+    def test_runs(self, k, m, n):
+        g = Element(k, m, n)
+        w = std_rep(g)
+        runs = _std_syllables(g)
+        assert runs == syllables(w)
+        assert _format_syllables(runs) == format_word(w)
 
     def test_std_beyond_ball(self):
         # Closed form stays consistent far outside any BFS horizon.
@@ -169,7 +191,7 @@ class TestContinuations:
         # {a, b, b^-1}; the a-direction is forced upward.
         for key, dist in ball8.distances.items():
             g = Element(*key)
-            if dist >= 8 or normalize_quadrant(g).applied:
+            if dist >= 8 or not is_normalized(g):
                 continue
             if g.k == 0 or g.n == 0:
                 continue
@@ -182,7 +204,7 @@ class TestContinuations:
         # interior, so only the b-side letter of the rule survives.
         for key, dist in ball8.distances.items():
             g = Element(*key)
-            if dist >= 8 or normalize_quadrant(g).applied:
+            if dist >= 8 or not is_normalized(g):
                 continue
             if g.k == 0 or g.n != 0:
                 continue

@@ -71,7 +71,7 @@ class TestQuotients:
             assert KLEIN.neighbors((m, n)) == tuple(h[1:] for h in right_neighbors((k, m, n)))
 
     def test_klein_vs_ck_projection(self):
-        from ckgeo.core import project_to_klein
+        from references import project_to_klein
 
         rng = random.Random(SEED + 2)
         for _ in range(200):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import random
 
@@ -474,7 +473,7 @@ def _shuffled(ball, seed=0):
     """The ball with its distance dict in a seeded random key order."""
     items = list(ball.distances.items())
     random.Random(seed).shuffle(items)
-    shuffled = dataclasses.replace(ball, distances=dict(items))
+    shuffled = BallIndex(ball.model, ball.radius, dict(items), ball.frontier_sizes)
     assert list(shuffled.distances) != list(ball.distances)
     return shuffled
 
@@ -482,14 +481,14 @@ def _shuffled(ball, seed=0):
 def _clipped(ball, radius):
     """The ball cut back to the states at distance <= ``radius``."""
     distances = {state: d for state, d in ball.distances.items() if d <= radius}
-    return dataclasses.replace(ball, radius=radius, distances=distances)
+    return BallIndex(ball.model, radius, distances, ball.frontier_sizes)
 
 
 def _tampered(ball, key, delta):
     """The ball with one state's distance shifted by ``delta``."""
     distances = dict(ball.distances)
     distances[key] += delta
-    return dataclasses.replace(ball, distances=distances)
+    return BallIndex(ball.model, ball.radius, distances, ball.frontier_sizes)
 
 
 # Shifts that make all three checks report failures on both radii.
