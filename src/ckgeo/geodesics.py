@@ -20,25 +20,37 @@ from .core import Element, evaluate, right_neighbors
 from .words import LETTERS, Word
 
 
-def _std_syllables(g: Element) -> list[tuple[str, int]]:
-    """The runs of :func:`std_rep`'s word as ``(base, signed_exponent)``
-    pairs, as :func:`ckgeo.words.syllables` would read them: at most four,
-    none empty and no two neighbours with the same base.  Builds no word.
+def _std_exponents(g: Element) -> tuple[int, int, int, int]:
+    """Signed exponents (e₁, e₂, e₃, e₄) of the standard word of ``g`` as
+    b^{e₁} · a^{e₂} · b^{e₃} · a^{e₄}, the one statement of its closed form.
 
     For normalized g = (k, m, n) the word is b^{k+m} · a · b^{k} · a^{n−1};
     pulled back through the flip letter maps it reads, in every quadrant,
 
         b^{k+m} · a^{s} · b^{k} · a^{n−s},  s = 1 if n > 0 or n = 0 <= m, else −1.
 
-    At k = 0 the two a-runs meet as a^{n}, and at k = n = 0 they cancel.
+    At k = 0 the two a-runs join as a^{n}, so the exponents are (m, n, 0, 0):
+    a zero exponent is an empty run, and no two nonempty runs of one base
+    meet.
     """
     k, m, n = g
     if k == 0:
-        runs = (("b", m), ("a", n))
-    else:
-        s = 1 if n > 0 or (n == 0 and m >= 0) else -1
-        runs = (("b", k + m), ("a", s), ("b", k), ("a", n - s))
-    return [run for run in runs if run[1]]
+        return m, n, 0, 0
+    s = 1 if n > 0 or (n == 0 and m >= 0) else -1
+    return k + m, s, k, n - s
+
+
+def _std_syllables(g: Element) -> list[tuple[str, int]]:
+    """The runs of :func:`std_rep`'s word as :func:`ckgeo.words.syllables`
+    reads them, at most four, without building the word."""
+    return [(base, e) for base, e in zip("baba", _std_exponents(g)) if e]
+
+
+def _run(letter: str, signed: int) -> str:
+    """A run of ``signed`` copies of a generator (negative = inverse)."""
+    if signed >= 0:
+        return letter * signed
+    return letter.upper() * (-signed)
 
 
 def std_rep(g: Element) -> Word:
@@ -52,12 +64,11 @@ def std_rep(g: Element) -> Word:
     b-steps in the second, and the remaining a-steps close the word (an a⁻¹
     when n = 0).  The only cancellation is a·a⁻¹ at k = n = 0.  For other
     quadrants the word is pulled back through the flip letter maps, so
-    ``evaluate(std_rep(g)) == g`` always.  The word joins the runs of
-    :func:`_std_syllables`, which states the pulled-back form.
+    ``evaluate(std_rep(g)) == g`` always.  The runs come from
+    :func:`_std_exponents`, which states the pulled-back form.
     """
-    return "".join(
-        [base * e if e > 0 else base.upper() * -e for base, e in _std_syllables(g)]
-    )
+    b1, a1, b2, a2 = _std_exponents(g)
+    return _run("b", b1) + _run("a", a1) + _run("b", b2) + _run("a", a2)
 
 
 def length(g: Element) -> int:
