@@ -107,15 +107,20 @@ def _runs(w: Word) -> list[str]:
     return runs
 
 
+#: Each letter's base and the sign it gives the exponent of its run.
+_SIGNED_BASE = {"a": ("a", 1), "A": ("a", -1), "b": ("b", 1), "B": ("b", -1)}
+
+
 def syllables(w: Word) -> list[tuple[str, int]]:
     """Run-length view: maximal runs as ``(base, signed_exponent)`` pairs.
 
     ``"BBaBB"`` -> ``[("b", -2), ("a", 1), ("b", -2)]``.
     """
-    return [
-        (run[0], len(run)) if run[0] in "ab" else (run[0].lower(), -len(run))
-        for run in _runs(w)
-    ]
+    out = []
+    for run in _runs(w):
+        base, sign = _SIGNED_BASE[run[0]]
+        out.append((base, sign * len(run)))
+    return out
 
 
 def _format_syllables(runs: Iterable[tuple[str, int]]) -> str:
