@@ -12,7 +12,8 @@ a word raises ``ValueError("word is not freely reduced")`` on one.
 The three families rewrite the source's skeleton; a candidate becomes a
 :class:`MoveEdge` only if :func:`_validated` finds that it differs from the
 source, spells a word of the same length, is freely reduced and has the same
-element (geodesity is inherited through the length).  The validator is the
+element (geodesity is inherited through the length); it returns the
+target's memo entry, and the family builds the edge.  The validator is the
 single point of truth; generation only skips candidates that provably fail
 it.  Detowering works out the element shift of each a-letter shift from the
 gap parity alone and builds just the pairs whose shifts cancel and whose
@@ -45,12 +46,14 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .core import Element, evaluate, is_normalized
 from .errors import GEODESIC_CAP, ORBIT_CAP, GeodesicCapError, OrbitCapError
 from .geodesics import _count_geodesics, length, std_rep
-from .words import Word, format_word, syllables, word_sort_key
+from .words import Word, format_word, sort_words, syllables, word_sort_key
 
 
 class MoveKind(enum.Enum):
@@ -144,16 +147,11 @@ def _entry(w: Word, memo: dict) -> _Entry:
 
 
 def _validated(
-    source: _Entry,
-    gaps: tuple[int, ...],
-    axes: tuple[int, ...],
-    kind: MoveKind,
-    site: str,
-    memo: dict,
-) -> MoveEdge | None:
-    """Admit a candidate skeleton only if it is not the source's, spells a
-    word of the source's length, spells a freely reduced word and has the
-    source's element.
+    source: _Entry, gaps: tuple[int, ...], axes: tuple[int, ...], memo: dict
+) -> _Entry | None:
+    """The memo entry of a candidate skeleton, if it is admitted: it is not
+    the source's, spells a word of the source's length, spells a freely
+    reduced word and has the source's element.  Otherwise None.
 
     A skeleton already in ``memo`` passed the reducedness check when it was
     entered, so only its length and element are compared; a new one is
@@ -169,14 +167,18 @@ def _validated(
         element = _skeleton_element(gaps, axes)
         if element != source.element:
             return None
-        target = _remember(_build(gaps, axes), gaps, axes, element, memo)
-    elif (
+        return _remember(_build(gaps, axes), gaps, axes, element, memo)
+    if (
         target is source
         or len(target.word) != len(source.word)
         or target.element != source.element
     ):
         return None
-    return MoveEdge(source.word, target.word, kind, site)
+    return target
+
+
+# _new(MoveEdge, fields) skips the NamedTuple's Python-level __new__.
+_new = tuple.__new__
 
 
 def _a_offsets(gaps: tuple[int, ...]) -> list[int]:
@@ -203,6 +205,7 @@ def castling_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
     gaps, axes = source.gaps, source.axes
     offsets = _a_offsets(gaps)
     edges = []
+    kind = MoveKind.EVEN_CASTLING
     for j in range(len(axes) - 1):
         if gaps[j + 1] or axes[j] != axes[j + 1]:
             continue
@@ -216,15 +219,10 @@ def castling_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
             new = list(gaps)
             new[j] -= step
             new[j + 2] += step
-            edge = _validated(
-                source, tuple(new), axes, MoveKind.EVEN_CASTLING, f"@{at}", memo
-            )
-            if edge is not None:
-                edges.append(edge)
+            target = _validated(source, tuple(new), axes, memo)
+            if target is not None:
+                edges.append(_new(MoveEdge, (w, target.word, kind, f"@{at}")))
     return edges
-
-
-_SIGN = {-1: "-", 1: "+"}
 
 
 def detowering_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
@@ -245,8 +243,8 @@ def detowering_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]
     Shifts of letters further apart touch disjoint gaps, so their length
     changes add: the partners of (i, d_i) are the j ≥ i + 2 with
     d_j·σ_j = −d_i·σ_i whose own change cancels that of (i, d_i).  Every
-    shift is bucketed by (d_j·σ_j, grow_j(d_j)), so each (i, d_i) finds its
-    partners in one bucket.
+    shift is put in one of six slots by (d_j·σ_j, its change ∈ {−2, 0, 2}),
+    so each (i, d_i) finds its partners in one slot.
     """
     if memo is None:
         memo = {}
@@ -255,27 +253,33 @@ def detowering_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]
     p = len(axes)
     if p < 2:
         return []
-    # step[d][t]: change of |gaps[t]| when d is added to gaps[t].
-    step = {d: [abs(gap + d) - abs(gap) for gap in gaps] for d in (-1, 1)}
-    # (d_j·σ_j, length change of shifting a-letter j alone by d_j) -> every
-    # such (j, d_j), ascending.
-    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # Adding ±1 to a gap g changes |g| by +1 iff ±g ≥ 0 (up, down), else by
+    # −1.  A shift's slot is its length change + 2, plus 1 when d_j·σ_j > 0,
+    # so the partners of slot s are in slot 5 − s.  Each lists (j, d_j) by j.
+    up = [gap >= 0 for gap in gaps]
+    down = [gap <= 0 for gap in gaps]
+    slots = [[], [], [], [], [], []]
     for j in range(p):
-        for d in (-1, 1):
-            grow = step[d][j] + step[-d][j + 1]
-            buckets.setdefault((-d if j & 1 else d, grow), []).append((j, d))
+        odd = j & 1
+        slots[2 * (down[j] + up[j + 1]) + odd].append((j, -1))
+        slots[2 * (up[j] + down[j + 1]) + 1 - odd].append((j, 1))
     edges = []
     for i in range(p - 1):
+        odd = i & 1
         # (j, d_i, d_j) of every pair that keeps the length.
         pairs = []
-        for di in (-1, 1):
-            if step[di][i] + step[-di][i + 2] == 0:
-                pairs.append((i + 1, di, di))
-            grow = step[di][i] + step[-di][i + 1]
-            partners = buckets.get((di if i & 1 else -di, -grow))
-            if partners:
-                first = bisect_right(partners, (i + 1, 1))
-                pairs.extend((j, di, dj) for j, dj in partners[first:])
+        if down[i] != up[i + 2]:
+            pairs.append((i + 1, -1, -1))
+        partners = slots[5 - 2 * (down[i] + up[i + 1]) - odd]
+        if partners:
+            first = bisect_right(partners, (i + 1, 1))
+            pairs.extend((j, -1, dj) for j, dj in partners[first:])
+        if up[i] != down[i + 2]:
+            pairs.append((i + 1, 1, 1))
+        partners = slots[4 - 2 * (up[i] + down[i + 1]) + odd]
+        if partners:
+            first = bisect_right(partners, (i + 1, 1))
+            pairs.extend((j, 1, dj) for j, dj in partners[first:])
         pairs.sort()
         for j, di, dj in pairs:
             new = list(gaps)
@@ -283,16 +287,10 @@ def detowering_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]
             new[i + 1] -= di
             new[j] += dj
             new[j + 1] -= dj
-            edge = _validated(
-                source,
-                tuple(new),
-                axes,
-                MoveKind.DETOWERING,
-                f"a{i}{_SIGN[di]}|a{j}{_SIGN[dj]}",
-                memo,
-            )
-            if edge is not None:
-                edges.append(edge)
+            target = _validated(source, tuple(new), axes, memo)
+            if target is not None:
+                site = f"a{i}{'+' if di > 0 else '-'}|a{j}{'+' if dj > 0 else '-'}"
+                edges.append(_new(MoveEdge, (w, target.word, MoveKind.DETOWERING, site)))
     return edges
 
 
@@ -319,6 +317,7 @@ def clipping_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
             windows.append((at, j, -1 if gaps[j + 1] > 0 else 1))
     by_shift = {s: [(at, j) for at, j, shift in windows if shift == s] for s in (-1, 1)}
     edges = []
+    kind = MoveKind.CLIPPING
     for at1, j1, shift in windows:
         partners = by_shift[-shift]
         # Windows overlap unless the second starts two letters on.
@@ -328,23 +327,15 @@ def clipping_neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
             new[j1 + 1] += shift
             new[j2] -= shift
             new[j2 + 1] -= shift
-            edge = _validated(
-                source, tuple(new), axes, MoveKind.CLIPPING, f"@{at1}+@{at2}", memo
-            )
-            if edge is not None:
-                edges.append(edge)
+            target = _validated(source, tuple(new), axes, memo)
+            if target is not None:
+                edges.append(_new(MoveEdge, (w, target.word, kind, f"@{at1}+@{at2}")))
     for j in range(len(axes) - 1):
         if axes[j] != axes[j + 1]:
-            edge = _validated(
-                source,
-                gaps,
-                axes[:j] + (axes[j + 1], axes[j]) + axes[j + 2 :],
-                MoveKind.CLIPPING,
-                f"reflect@a{j}",
-                memo,
-            )
-            if edge is not None:
-                edges.append(edge)
+            reflected = axes[:j] + (axes[j + 1], axes[j]) + axes[j + 2 :]
+            target = _validated(source, gaps, reflected, memo)
+            if target is not None:
+                edges.append(_new(MoveEdge, (w, target.word, kind, f"reflect@a{j}")))
     return edges
 
 
@@ -354,19 +345,20 @@ def neighbors(w: Word, *, memo: dict | None = None) -> list[MoveEdge]:
     Edges are sorted by (target, kind, site).  No two edges share that key:
     a family never repeats a site (castling names one window, detowering one
     pair of shifts, clipping one pair of windows or one reflection), and the
-    families have different kinds.  So the order is total and no edge needs
-    to be dropped as a duplicate.  ``memo`` is passed on to the families,
-    and the targets' sort keys are read from it.
+    families have different kinds.  So the order is total, no edge needs to
+    be dropped as a duplicate, and the sort never compares two edges.
+    ``memo`` is passed on to the families, and the targets' sort keys are
+    read from it.
     """
     if memo is None:
         memo = {}
-    out = (
-        castling_neighbors(w, memo=memo)
-        + detowering_neighbors(w, memo=memo)
-        + clipping_neighbors(w, memo=memo)
-    )
-    out.sort(key=lambda e: (memo[e.target].key, e.kind.value, e.site))
-    return out
+    decorated = [
+        (memo[edge.target].key, edge.kind._value_, edge.site, edge)
+        for family in (castling_neighbors, detowering_neighbors, clipping_neighbors)
+        for edge in family(w, memo=memo)
+    ]
+    decorated.sort()
+    return [item[-1] for item in decorated]
 
 
 def orbit(
@@ -503,18 +495,18 @@ def check_theorem2(
     if ball is None:
         ball = build_ball("ck", total)
     geos = enumerate_geodesics(ball, g, cap=geodesic_cap)
-    edges: list[MoveEdge] = []
-    orb = orbit(std_rep(g), cap=orbit_cap, edges=edges)
+    flat: list[MoveEdge] = []
+    orb = orbit(std_rep(g), cap=orbit_cap, edges=flat)
     geo_set = set(geos)
     orb_set = set(orb)
-    missing = tuple(sorted(geo_set - orb_set, key=word_sort_key))
-    extra = tuple(sorted(orb_set - geo_set, key=word_sort_key))
+    missing = tuple(sort_words(geo_set - orb_set))
+    extra = tuple(sort_words(orb_set - geo_set))
     # The walk leaves each source's edges together, sorted by (target, kind,
-    # site), and every target is an orbit word, so a stable sort by the
-    # source's word_sort_key rank orders edges by (source, target, kind,
-    # site).
-    rank = {u: i for i, u in enumerate(sorted(orb, key=word_sort_key))}
-    edges.sort(key=lambda e: rank[e.source])
+    # site), so joining the groups in word_sort_key order of their sources
+    # orders edges by (source, target, kind, site).  A word with no edges
+    # (a singleton orbit) has no group.
+    by_source = {u: list(group) for u, group in groupby(flat, key=itemgetter(0))}
+    edges = [e for u in sort_words(orb) for e in by_source.get(u, ())]
     return ConnectivityReport(
         element=g,
         length=total,

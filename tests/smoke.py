@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs nineteen commands through ``ckgeo.cli.main`` and checks each exit code
+Runs twenty commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -37,6 +37,8 @@ from ckgeo import cli
 # language suite evaluated words from their prefixes.  The million-letter
 # --young render is refused from its run boxes: exit 3, no output.  The last
 # std prints a ten-billion-letter word from its runs, without building it.
+# The last JSON check-theorem2, recorded before the edges were grouped by
+# source, pins a detour element's 16 detowering edges and 10 reflections.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -132,6 +134,11 @@ CASES = [
         ["std", "(3,-7,10000000000)"],
         0,
         "4dc7722516524da15bf929a2d660e4049bf3ce112ae9063a61ddb1d5c13171f4",
+    ),
+    (
+        ["check-theorem2", "(2,2,0)", "--json"],
+        0,
+        "d596986b6159593d89cd55cae40ce0a1a2386f9aaebf0f1a391f5af36b38b097",
     ),
 ]
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -171,17 +172,27 @@ def _sorted_edges(edges):
     return sorted(edges, key=lambda e: (word_sort_key(e.target), e.kind.value, e.site))
 
 
-def _string_neighbors(w):
-    """neighbors() by the string families."""
-    return _sorted_edges(_string_castling(w) + _string_detowering(w) + _string_clipping(w))
+@pytest.fixture(scope="session")
+def string_families():
+    """The string engine's (castling, detowering, clipping) edges of a word,
+    built once per word for the session.  The corpora overlap: short random
+    words repeat, and every radius-8 geodesic is also an orbit word of the
+    reference walk."""
+    return functools.cache(
+        lambda w: (_string_castling(w), _string_detowering(w), _string_clipping(w))
+    )
 
 
-def _assert_engines_agree(w):
+@pytest.fixture(scope="session")
+def exhaustive_detowering():
+    """_exhaustive_detowering, built once per word for the session."""
+    return functools.cache(_exhaustive_detowering)
+
+
+def _assert_engines_agree(w, string_families):
     """Each family and neighbors() give the string engine's edges, in its
     order.  The families reuse the memo neighbors() filled, as in orbit()."""
-    castling, detowering, clipping = (
-        _string_castling(w), _string_detowering(w), _string_clipping(w)
-    )
+    castling, detowering, clipping = string_families(w)
     memo = {}
     assert neighbors(w, memo=memo) == _sorted_edges(castling + detowering + clipping), w
     assert castling_neighbors(w, memo=memo) == castling, w
@@ -199,7 +210,7 @@ def _random_word(rng, low, high, reduced=False):
     return "".join(out)
 
 
-def _reference_orbit(w):
+def _reference_orbit(w, string_families):
     """The breadth-first walk of orbit(), with no memo shared between
     neighbor calls and with the string engine.  Returns the sorted
     words and every edge in walk order."""
@@ -209,7 +220,7 @@ def _reference_orbit(w):
     while frontier:
         nxt = []
         for u in frontier:
-            found = _string_neighbors(u)
+            found = _sorted_edges([e for family in string_families(u) for e in family])
             edges.extend(found)
             for e in found:
                 if e.target not in seen:
@@ -257,25 +268,29 @@ class TestDetowering:
         assert detowering_neighbors("bbb") == []
         assert detowering_neighbors("abb") == []
 
-    def test_pruning_matches_exhaustive_search_on_ball(self, ball8):
+    def test_pruning_matches_exhaustive_search_on_ball(
+        self, ball8, string_families, exhaustive_detowering
+    ):
         from ckgeo.oracle import enumerate_geodesics
 
         checked = 0
         for key in sorted(ball8.distances):
             for w in enumerate_geodesics(ball8, Element(*key)):
-                _assert_engines_agree(w)
-                assert detowering_neighbors(w) == _exhaustive_detowering(w), w
+                _assert_engines_agree(w, string_families)
+                assert detowering_neighbors(w) == exhaustive_detowering(w), w
                 checked += 1
         assert checked == sum(geodesic_count(Element(*key)) for key in ball8.distances)
 
-    def test_pruning_matches_exhaustive_search_off_geodesics(self):
+    def test_pruning_matches_exhaustive_search_off_geodesics(self, exhaustive_detowering):
         # Reduced but mostly non-geodesic sources.
         rng = random.Random(SEED)
         for _ in range(500):
             w = _random_word(rng, 0, 11, reduced=True)
-            assert detowering_neighbors(w) == _exhaustive_detowering(w), w
+            assert detowering_neighbors(w) == exhaustive_detowering(w), w
 
-    def test_pruning_matches_exhaustive_search_on_long_a_heavy_words(self):
+    def test_pruning_matches_exhaustive_search_on_long_a_heavy_words(
+        self, exhaustive_detowering
+    ):
         # Standard words of 24..60 a-letters, whose shifts fill many
         # buckets.
         rng = random.Random(SEED)
@@ -287,13 +302,15 @@ class TestDetowering:
         ]
         for g in rng.sample(pool, 16) + [Element(2, -2, 60), Element(0, 0, 24)]:
             w = std_rep(g)
-            assert detowering_neighbors(w) == _exhaustive_detowering(w), g
+            assert detowering_neighbors(w) == exhaustive_detowering(w), g
 
-    def test_pruning_matches_exhaustive_search_on_long_random_words(self):
+    def test_pruning_matches_exhaustive_search_on_long_random_words(
+        self, exhaustive_detowering
+    ):
         rng = random.Random(SEED)
         for _ in range(150):
             w = _random_word(rng, 20, 60, reduced=True)
-            assert detowering_neighbors(w) == _exhaustive_detowering(w), w
+            assert detowering_neighbors(w) == exhaustive_detowering(w), w
 
 
 class TestClipping:
@@ -364,10 +381,10 @@ class TestNeighbors:
         assert set(d) == {"source", "target", "kind", "site"}
         json.dumps(d)
 
-    def test_engines_agree_on_random_reduced_words(self):
+    def test_engines_agree_on_random_reduced_words(self, string_families):
         rng = random.Random(SEED)
         for _ in range(3000):
-            _assert_engines_agree(_random_word(rng, 0, 30, reduced=True))
+            _assert_engines_agree(_random_word(rng, 0, 30, reduced=True), string_families)
 
     @pytest.mark.parametrize(
         "call",
@@ -480,14 +497,14 @@ class TestOrbit:
         )
 
 
-    def test_matches_memo_free_reference_walk(self, ball12):
+    def test_matches_memo_free_reference_walk(self, ball12, string_families):
         rng = random.Random(SEED)
         keys = rng.sample(sorted(ball12.distances), 40)
         for g in [Element(*key) for key in keys] + [Element(-4, 2, 4), Element(3, 0, 0)]:
             w = std_rep(g)
             edges = []
             words = orbit(w, edges=edges)
-            assert (words, edges) == _reference_orbit(w), g
+            assert (words, edges) == _reference_orbit(w, string_families), g
 
 
 # The seed elements of the orbit-long benchmark workload at seeds 1-3.
@@ -538,6 +555,14 @@ class TestGoldenDigests:
         )
 
 
+# The family functions by name, with the kind of edge each builds.
+_FAMILIES = {
+    "castling_neighbors": MoveKind.EVEN_CASTLING,
+    "detowering_neighbors": MoveKind.DETOWERING,
+    "clipping_neighbors": MoveKind.CLIPPING,
+}
+
+
 class TestConnectivity:
     def test_central_example(self):
         rep = check_theorem2(Element(2, 0, 0))
@@ -555,17 +580,61 @@ class TestConnectivity:
         assert rep.connected
 
     def test_edges_come_from_the_orbit_walk(self, monkeypatch):
-        calls = []
-        real = moves.neighbors
+        # perfbench/tracing.py wraps these module globals for moves.orbit_s,
+        # moves.{castling,detowering,clipping}_s and moves.edges.*: each
+        # must be reached through them, once per orbit word.
+        names = ("orbit", "neighbors", *_FAMILIES)
+        calls = {name: [] for name in names}
+        found = {name: 0 for name in _FAMILIES}
 
-        def counted(w, **kwargs):
-            calls.append(w)
-            return real(w, **kwargs)
+        def counting(name, real):
+            def counted(w, **kwargs):
+                calls[name].append(w)
+                result = real(w, **kwargs)
+                if name in found:
+                    found[name] += len(result)
+                return result
 
-        monkeypatch.setattr(moves, "neighbors", counted)
-        rep = check_theorem2(Element(-1, 3, 4))
-        assert sorted(calls) == sorted(set(calls))
-        assert len(calls) == rep.orbit_size == 12
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(moves, name, counting(name, getattr(moves, name)))
+        g = Element(-1, 3, 4)
+        rep = check_theorem2(g)
+        assert calls["orbit"] == [std_rep(g)]
+        assert len(calls["neighbors"]) == len(set(calls["neighbors"])) == rep.orbit_size == 12
+        kinds = [e.kind for e in rep.edges]
+        for name, kind in _FAMILIES.items():
+            assert calls[name] == calls["neighbors"], name
+            assert found[name] == kinds.count(kind), name
+        assert sum(found.values()) == len(rep.edges)
+
+        for log in calls.values():
+            log.clear()
+        words = moves.orbit("aBaaBB")
+        assert calls["orbit"] == ["aBaaBB"]
+        assert sorted(calls["neighbors"]) == sorted(words)
+        for name in _FAMILIES:
+            assert calls[name] == calls["neighbors"], name
+
+    def test_edges_are_sorted_by_source_target_kind_and_site(self, ball12):
+        # Every element within distance 6, and b^10, whose orbit is a single
+        # word with no edges.
+        singleton = Element(0, 10, 0)
+        elements = [Element(*key) for key, d in sorted(ball12.distances.items()) if d <= 6]
+        for g in elements + [singleton]:
+            rep = check_theorem2(g, ball=ball12)
+            expected = sorted(
+                (e for u in orbit(std_rep(g)) for e in neighbors(u)),
+                key=lambda e: (
+                    word_sort_key(e.source),
+                    word_sort_key(e.target),
+                    e.kind.value,
+                    e.site,
+                ),
+            )
+            assert list(rep.edges) == expected, g
+        assert rep.element == singleton and rep.orbit_size == 1 and rep.edges == ()
 
     def test_geodesic_cap_checked_before_any_ball(self, monkeypatch):
         from ckgeo import oracle
