@@ -1,10 +1,12 @@
 """Ball construction and geodesic enumeration: the hot loops of the
 brute-force oracle, in pure Python.
 
-The balls are breadth-first searches.  :func:`ck_geodesics` enumerates
-level by level over the geodesic interval of its target (walk down while
-counting paths, then build the words bottom-up), so its cost follows the
-number of interval states and words rather than the number of prefixes a
+The balls are breadth-first searches, and :func:`ball_size` gives their
+sizes in closed form, so a state budget can be decided before any search.
+:func:`ck_geodesics` enumerates level by level over the geodesic interval of
+its target (walk down while counting paths, then spell each word once from a
+half-length prefix and a half-length suffix), so its cost follows the number
+of interval states and words rather than the number of prefixes a
 depth-first walk visits.
 
 State keys in the returned distance maps are plain tuples: ``(k, m, n)`` for
@@ -44,6 +46,25 @@ def _over_budget(max_states: int, states: int, d: int) -> BallBudgetError:
         states=states,
         levels_completed=max(d - 1, 0),
     )
+
+
+def ball_size(model: str, r: int) -> int:
+    """Number of states of ``model``'s ball of radius ``r``, in closed form.
+
+    The ck sphere of radius d has 4d² − 6 states for d ≥ 3, and 1, 4 and 12
+    for d = 0, 1 and 2; the klein and z2 spheres have 4d for d ≥ 1.  Each
+    kernel's ``levels`` are these sphere sizes, and ``len(dist)`` after
+    level d is ``ball_size(model, d)``.
+    """
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    if model == "ck":
+        if r < 2:
+            return (1, 5)[r]
+        return 2 * r * (r + 1) * (2 * r + 1) // 3 - 6 * r + 9
+    if model in ("klein", "z2"):
+        return 2 * r * r + 2 * r + 1
+    raise ValueError(f"no ball size for model {model!r}")
 
 
 def ck_ball(
@@ -143,23 +164,27 @@ def ck_geodesics(
     level by level, recording each state's descending children in canonical
     letter order and counting the descending paths from ``target`` to each
     state; at the bottom level those counts add up to the number of words,
-    so the cap is checked before any word is built.  Each state's words are
-    then built bottom-up as ``s + u`` over its children.  Every child's list
-    is sorted and all its words have one length, so concatenating the lists
-    in letter order keeps the result sorted.  Only two levels of word lists
-    are alive at a time.
+    so the cap is checked before any word is built.
+
+    The words are then built once each, meeting in the middle at half the
+    length.  The prefixes are extended top-down as one flat list of
+    (prefix, state) pairs; all have one length and children come in letter
+    order, so the list stays sorted.  The suffixes of the middle states are
+    built bottom-up as ``s + u`` over each state's children.  A word is its
+    prefix followed by each of its middle state's sorted suffixes, so the
+    result is sorted too.
     """
     try:
         total = dist[target]
     except KeyError:
         raise ValueError(f"target {target} not covered by the ball") from None
     get = dist.get
-    # levels[i] lists each interval state at distance total − i with its
+    # levels[i] maps each interval state at distance total − i to its
     # children (letter, s⁻¹·g) in canonical order.
-    levels: list[list[tuple[_State, list[tuple[str, _State]]]]] = []
+    levels: list[dict[_State, list[tuple[str, _State]]]] = []
     paths: dict[_State, int] = {target: 1}
     for below in range(total - 1, -1, -1):
-        level = []
+        level = {}
         paths_below: dict[_State, int] = {}
         for g, count in paths.items():
             k, m, n = g
@@ -174,7 +199,7 @@ def ck_geodesics(
                 if get(h) == below:
                     children.append((letter, h))
                     paths_below[h] = paths_below.get(h, 0) + count
-            level.append((g, children))
+            level[g] = children
         levels.append(level)
         paths = paths_below
     if sum(paths.values()) > cap:
@@ -182,10 +207,14 @@ def ck_geodesics(
             f"geodesic enumeration for {target} exceeded cap={cap}"
         )
 
-    words = {g: [""] for g in paths}
-    for level in reversed(levels):
-        words = {
-            g: [s + u for s, h in children for u in words[h]]
-            for g, children in level
+    half = total // 2
+    front = [("", target)]
+    for level in levels[:half]:
+        front = [(p + s, h) for p, g in front for s, h in level[g]]
+    suffixes = {g: [""] for g in paths}
+    for level in reversed(levels[half:]):
+        suffixes = {
+            g: [s + u for s, h in children for u in suffixes[h]]
+            for g, children in level.items()
         }
-    return words[target]
+    return [p + u for p, g in front for u in suffixes[g]]

@@ -8,6 +8,8 @@ routes.  The oracle is the ground truth the formulas are certified against.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from functools import partial
 from operator import itemgetter
 from typing import IO, Hashable, Iterable, Mapping, NamedTuple
 
@@ -85,9 +87,17 @@ def build_ball(
     """Build the radius-``radius`` ball of a registered model by its kernel.
 
     ``model`` is a name or a model of :data:`ckgeo.models.MODELS`; any other
-    name raises ``ValueError``.
+    name raises ``ValueError``.  A ball over ``max_states`` raises
+    :class:`ckgeo.errors.BallBudgetError` before any search, from the closed
+    form :func:`ckgeo.kernels.ball_size`.  A kernel checks its budget once per
+    completed level, so the first radius whose ball is over budget gives the
+    error it would raise.
     """
     model = get_model(model if isinstance(model, str) else model.name)
+    size = partial(kernels.ball_size, model.name)
+    if size(radius) > max_states:
+        d = bisect_right(range(radius + 1), max_states, key=size)
+        raise kernels._over_budget(max_states, size(d), d)
     distances, levels = _KERNEL_BUILDERS[model.name](radius, max_states)
     return BallIndex(
         model=model.name,

@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs twenty commands through ``ckgeo.cli.main`` and checks each exit code
+Runs twenty-two commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -37,8 +37,12 @@ from ckgeo import cli
 # language suite evaluated words from their prefixes.  The million-letter
 # --young render is refused from its run boxes: exit 3, no output.  The last
 # std prints a ten-billion-letter word from its runs, without building it.
-# The last JSON check-theorem2, recorded before the edges were grouped by
+# The second JSON check-theorem2, recorded before the edges were grouped by
 # source, pins a detour element's 16 detowering edges and 10 reflections.
+# A radius-1000 ball is over the state budget, which is decided in closed
+# form before any search: exit 3, no output.  The last JSON check-theorem2,
+# recorded before the enumeration met in the middle, pins all 1,050
+# geodesics of a length-15 element, whose words split 7 + 8.
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -139,6 +143,16 @@ CASES = [
         ["check-theorem2", "(2,2,0)", "--json"],
         0,
         "d596986b6159593d89cd55cae40ce0a1a2386f9aaebf0f1a391f5af36b38b097",
+    ),
+    (
+        ["ball", "1000"],
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["check-theorem2", "(-4,2,9)", "--json"],
+        0,
+        "98eab69c526e0527bf49da171895d3037eae0936a15008a697de3a8af33a48fc",
     ),
 ]
 

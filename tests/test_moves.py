@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,8 +52,19 @@ def _gaps_axes(w):
     return gaps, axes
 
 
+# Candidates hold letters only, so a word is freely reduced exactly when no
+# cancelling pair matches; TestStringReference checks this against
+# references.is_reduced.
+_CANCELLING_PAIR = re.compile("aA|Aa|bB|Bb")
+
+
 def _string_validated(w, g, cand, kind, site):
-    if cand != w and len(cand) == len(w) and is_reduced(cand) and evaluate(cand) == g:
+    if (
+        cand != w
+        and len(cand) == len(w)
+        and not _CANCELLING_PAIR.search(cand)
+        and evaluate(cand) == g
+    ):
         return [MoveEdge(w, cand, kind, site)]
     return []
 
@@ -228,6 +240,12 @@ def _reference_orbit(w, string_families):
                     nxt.append(e.target)
         frontier = sorted(nxt, key=word_sort_key)
     return sorted(seen, key=format_word), edges
+
+
+class TestStringReference:
+    @given(st.text(alphabet="aAbB", max_size=30))
+    def test_cancelling_pair_regex_is_reducedness(self, w):
+        assert (_CANCELLING_PAIR.search(w) is None) == is_reduced(w)
 
 
 class TestCastling:
