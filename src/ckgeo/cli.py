@@ -168,24 +168,28 @@ def _length_suite(ball: BallIndex, table: LengthTable) -> CheckReport:
 
     The ball's states that fail come first, in (distance, state) order
     whatever the order of its dict, then the table's extra elements in
-    table order.
+    table order.  Equal maps have no failures, which one dict comparison
+    decides.
     """
-    mismatches = []
     # Element is a NamedTuple: it hashes and compares equal to the plain
-    # (k, m, n) key, so the table is looked up by the ball's keys directly.
+    # (k, m, n) key, so the table is compared with and looked up by the
+    # ball's keys directly.
     entries = table.entries
-    for state, d in ball.distances.items():
-        closed = entries.get(state)
-        if closed is None:
-            message = f"{Element(*state).format()}: missing from closed-form ball"
-            mismatches.append((d, state, message))
-        elif closed != d:
-            message = f"{Element(*state).format()}: closed form {closed}, oracle {d}"
-            mismatches.append((d, state, message))
-    failures = list(in_ball_order(mismatches))
-    for g in entries:
-        if g not in ball.distances:
-            failures.append(f"{g.format()}: closed-form extra state")
+    failures: list[str] = []
+    if entries != ball.distances:
+        mismatches = []
+        for state, d in ball.distances.items():
+            closed = entries.get(state)
+            if closed is None:
+                message = f"{Element(*state).format()}: missing from closed-form ball"
+                mismatches.append((d, state, message))
+            elif closed != d:
+                message = f"{Element(*state).format()}: closed form {closed}, oracle {d}"
+                mismatches.append((d, state, message))
+        failures += in_ball_order(mismatches)
+        for g in entries:
+            if g not in ball.distances:
+                failures.append(f"{g.format()}: closed-form extra state")
     return CheckReport(
         name="length-closed-form",
         checked=len(ball),

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import cache
+from itertools import product
 from typing import Callable
 
 from .core import Element, evaluate, right_neighbors
@@ -46,13 +48,6 @@ def _std_syllables(g: Element) -> list[tuple[str, int]]:
     return [(base, e) for base, e in zip("baba", _std_exponents(g)) if e]
 
 
-def _run(letter: str, signed: int) -> str:
-    """A run of ``signed`` copies of a generator (negative = inverse)."""
-    if signed >= 0:
-        return letter * signed
-    return letter.upper() * (-signed)
-
-
 def std_rep(g: Element) -> Word:
     """The standard geodesic representative of ``g``.
 
@@ -68,7 +63,12 @@ def std_rep(g: Element) -> Word:
     :func:`_std_exponents`, which states the pulled-back form.
     """
     b1, a1, b2, a2 = _std_exponents(g)
-    return _run("b", b1) + _run("a", a1) + _run("b", b2) + _run("a", a2)
+    return (
+        ("b" * b1 if b1 >= 0 else "B" * -b1)
+        + ("a" * a1 if a1 >= 0 else "A" * -a1)
+        + ("b" * b2 if b2 >= 0 else "B" * -b2)
+        + ("a" * a2 if a2 >= 0 else "A" * -a2)
+    )
 
 
 def length(g: Element) -> int:
@@ -93,20 +93,68 @@ def is_geodesic(w: Word) -> bool:
     return len(w) == length(evaluate(w))
 
 
+def local_class(g: tuple[int, int, int]) -> tuple[int, int, int, int, int]:
+    """The class of ``g`` that fixes every Δ_x(g) = length(g·x) − length(g):
+    k, m, k+m and n, each clipped to [−3, 3], then the parity of n.
+
+    One letter moves each of k, m, k+m and n by at most one, and the parity
+    of n fixes which move it makes.  :func:`length` is a sum of absolute
+    values of k, m, k+m and |n| − 1, with a branch at k = 0, so Δ_x sees each
+    coordinate only near its breaks, which all lie in [−1, 1]: Δ_x is a
+    function of the class.  There are 657 classes, and the identity is alone
+    in its own.  :func:`certify_local` checks this on a box.
+    """
+    k, m, n = g
+    s = k + m
+    return (
+        k if -3 <= k <= 3 else (3 if k > 0 else -3),
+        m if -3 <= m <= 3 else (3 if m > 0 else -3),
+        s if -3 <= s <= 3 else (3 if s > 0 else -3),
+        n if -3 <= n <= 3 else (3 if n > 0 else -3),
+        n & 1,
+    )
+
+
+def _deltas(g: tuple[int, int, int]) -> tuple[int, ...]:
+    """Δ_x(g) for x in ``LETTERS`` order, from :func:`length`."""
+    here = length(g)
+    return tuple(length(h) - here for h in right_neighbors(g))
+
+
+@cache
+def local_table() -> dict[tuple[int, ...], tuple[tuple[int, ...], str, str]]:
+    """class -> (Δ per letter, continuation letters, last letters).
+
+    Read off :func:`length` at the first element of each class with
+    |k|, |m| <= 6 and |n| <= 4, which realizes all 657 classes: past that box
+    n steps two toward 0, or k or m one, with the other stepping back when
+    k+m must keep its clipped value, and no clipped value changes.  The
+    continuation letters are the x with Δ_x = +1; the last letters are the s
+    with Δ_{s⁻¹} = −1, which end some geodesic.  Both in canonical order.
+    Built on first use, never at import.
+    """
+    table: dict = {}
+    for g in product(range(-6, 7), range(-6, 7), range(-4, 5)):
+        c = local_class(g)
+        if c not in table:
+            d = _deltas(g)
+            up = "".join(s for s, x in zip(LETTERS, d) if x == 1)
+            # s ends a geodesic when g·s⁻¹ is shorter: a, A, b, B read A, a, B, b.
+            inverse = d[1], d[0], d[3], d[2]
+            last = "".join(s for s, x in zip(LETTERS, inverse) if x == -1)
+            table[c] = (d, up, last)
+    return table
+
+
 def continuations(g: Element) -> str:
     """The letters that extend a geodesic to ``g`` by one: all s with
     length(g·s) = length(g) + 1, in canonical order.
 
-    The four products g·s come from :func:`ckgeo.core.right_neighbors` as
-    plain tuples; each one's length is still the closed form, so the
-    dead-end audit cross-checks this function against the BFS per state.
+    Looked up by :func:`local_class` in :func:`local_table`, which
+    :func:`certify_local` proves equal to the definition; the dead-end audit
+    still cross-checks it against the BFS per state.
     """
-    up = length(g) + 1
-    out = ""
-    for s, h in zip(LETTERS, right_neighbors(g)):
-        if length(h) == up:
-            out += s
-    return out
+    return local_table()[local_class(g)][1]
 
 
 class RegionCase(enum.Enum):
@@ -161,12 +209,58 @@ def continuation_rule_letters(case: RegionCase) -> str:
 
 def is_dead_end(g: Element) -> bool:
     """True iff no single letter increases the length of ``g``, i.e.
-    ``continuations(g) == ""``; returns at the first letter that does."""
-    up = length(g) + 1
-    for h in right_neighbors(g):
-        if length(h) == up:
-            return False
-    return True
+    ``continuations(g) == ""``: never, by :func:`certify_local`, whose
+    no-dead-end condition holds for every class.  Looked up in
+    :func:`local_table`."""
+    return not local_table()[local_class(g)][1]
+
+
+def certify_local() -> list[str]:
+    """Check :func:`local_table` against :func:`length`; the failures, each
+    naming a class, or ``[]``.
+
+    At every element of [−8, 8]³ the Δ per letter must equal its class's
+    row, and every class must be met.  Then, per class:
+
+    * every Δ_x is ±1, and every class but the identity's has a Δ_x = −1.
+      With length(e) = 0 this makes :func:`length` the word metric: it
+      changes by at most one per letter, and a shortening letter always
+      exists, so a descent of length(g) letters reaches e;
+    * some Δ_x is +1, so no element is a dead end;
+    * for normalized classes (m >= 0, n >= 1), every letter ``RULE_LETTERS``
+      names for the region has Δ = +1, and only ZERO_K names none.
+    """
+    table = local_table()
+    failures = []
+    met = set()
+    for g in product(range(-8, 9), repeat=3):
+        c = local_class(g)
+        d = _deltas(g)
+        row = table.get(c)
+        if row is None or row[0] != d:
+            failures.append(f"class {c}: Δ {d} at {g}, table {row and row[0]}")
+        if c in met:
+            continue
+        met.add(c)
+        if g == (0, 0, 0) and length(g) != 0:
+            failures.append(f"class {c}: length of the identity is {length(g)}")
+        if any(x not in (-1, 1) for x in d):
+            failures.append(f"class {c}: Δ {d} at {g} is not ±1")
+        if -1 not in d and g != (0, 0, 0):
+            failures.append(f"class {c}: no letter shortens {g}")
+        if 1 not in d:
+            failures.append(f"class {c}: {g} is a dead end")
+        if g[1] >= 0 and g[2] >= 1:
+            case = classify_region(g)
+            rule, up = RULE_LETTERS[case], table[c][1]
+            if (not rule) != (case is RegionCase.ZERO_K) or not set(rule) <= set(up):
+                failures.append(
+                    f"class {c}: {case.value} names {rule!r},"
+                    f" lengthening letters {up!r} at {g}"
+                )
+    for c in table.keys() - met:
+        failures.append(f"class {c}: not met in the box")
+    return failures
 
 
 def _count_geodesics(g: Element, comb: Callable[[int, int], int]) -> int:
@@ -209,7 +303,10 @@ def closed_ball_elements(radius: int) -> list[Element]:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    out = []
+    # tuple.__new__ builds each Element without the NamedTuple's Python-level
+    # constructor.
+    new = tuple.__new__
+    out: list[Element] = []
     for k in range(-radius, radius + 1):
         for m in range(-radius, radius + 1):
             kn, mn = (-k, -m) if m < 0 else (k, m)
@@ -221,8 +318,8 @@ def closed_ball_elements(radius: int) -> list[Element]:
                     continue
                 low, high = max(0, 1 - slack), 1 + slack
             # n = -high..-low, then low..high: ascending, with 0 at most once.
-            out.extend(Element(k, m, n) for n in range(-high, -max(low, 1) + 1))
-            out.extend(Element(k, m, n) for n in range(low, high + 1))
+            out += [new(Element, (k, m, n)) for n in range(-high, -max(low, 1) + 1)]
+            out += [new(Element, (k, m, n)) for n in range(low, high + 1)]
     return out
 
 

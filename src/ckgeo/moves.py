@@ -475,32 +475,40 @@ def check_theorem2(
 ) -> ConnectivityReport:
     """Does the move orbit of std_rep(g) reach every geodesic of g?
 
-    Geodesics are enumerated exhaustively with the brute-force oracle (a
-    ball of radius length(g) is built on demand when none is supplied).
-    Raises :class:`GeodesicCapError` before any ball is built when the
+    Raises :class:`GeodesicCapError` before any walk or ball when the
     closed-form :func:`geodesic_count` exceeds ``geodesic_cap``; the count is
     capped at ``geodesic_cap + 1``, so the check stays cheap for huge
-    elements.  The report lists unreached geodesics, orbit words that are not
-    geodesic (impossible by the validator; reported for honesty), and every
-    validated edge among the orbit words, as collected by the orbit walk
-    itself.
+    elements.  The orbit is walked first.  With no ``ball`` supplied, an
+    orbit as large as the closed-form count is every geodesic: the walk
+    admits only distinct words of length length(g) that spell g (see
+    :func:`_validated`), so no ball is built and nothing is enumerated.
+    Otherwise the geodesics are enumerated exhaustively with the brute-force
+    oracle, on ``ball`` or on a ball of radius length(g) built on demand.
+    The report lists unreached geodesics, orbit words that are not geodesic
+    (impossible by the validator; reported for honesty), and every validated
+    edge among the orbit words, as collected by the orbit walk itself.
     """
     from .oracle import build_ball, enumerate_geodesics
 
-    if _capped_geodesic_count(g, geodesic_cap) > geodesic_cap:
+    count = _capped_geodesic_count(g, geodesic_cap)
+    if count > geodesic_cap:
         raise GeodesicCapError(
             f"{g.format()} has more geodesics than geodesic_cap={geodesic_cap}"
         )
     total = length(g)
-    if ball is None:
-        ball = build_ball("ck", total)
-    geos = enumerate_geodesics(ball, g, cap=geodesic_cap)
     flat: list[MoveEdge] = []
     orb = orbit(std_rep(g), cap=orbit_cap, edges=flat)
-    geo_set = set(geos)
-    orb_set = set(orb)
-    missing = tuple(sort_words(geo_set - orb_set))
-    extra = tuple(sort_words(orb_set - geo_set))
+    if ball is None and len(orb) == count:
+        missing = extra = ()
+    else:
+        if ball is None:
+            ball = build_ball("ck", total)
+        geos = enumerate_geodesics(ball, g, cap=geodesic_cap)
+        count = len(geos)
+        geo_set = set(geos)
+        orb_set = set(orb)
+        missing = tuple(sort_words(geo_set - orb_set))
+        extra = tuple(sort_words(orb_set - geo_set))
     # The walk leaves each source's edges together, sorted by (target, kind,
     # site), so joining the groups in word_sort_key order of their sources
     # orders edges by (source, target, kind, site).  A word with no edges
@@ -510,7 +518,7 @@ def check_theorem2(
     return ConnectivityReport(
         element=g,
         length=total,
-        geodesic_count=len(geos),
+        geodesic_count=count,
         orbit_size=len(orb),
         connected=not missing and not extra,
         missing=missing,

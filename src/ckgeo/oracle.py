@@ -10,15 +10,25 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from functools import partial
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import IO, Hashable, Iterable, Mapping, NamedTuple
 
 from . import kernels
 from .core import Element, right_neighbors
 from .errors import GEODESIC_CAP, MAX_STATES
-from .geodesics import _std_syllables, closed_ball_elements, length, std_rep
+from .geodesics import (
+    _std_syllables,
+    closed_ball_elements,
+    length,
+    local_class,
+    local_table,
+    std_rep,
+)
 from .models import GroupModel, get_model
 from .words import (
+    _DELETE_LETTERS,
+    _RANK,
+    _RANK_DIGITS,
     Word,
     _format_syllables,
     format_word,
@@ -257,53 +267,78 @@ def check_standard_language(
     states with no word in the order of the ball's dict.  A word is
     evaluated by one step from the state of its prefix when that prefix is a
     freely reduced word of the language one letter shorter, and from scratch
-    otherwise; only the states of two lengths are kept.
+    otherwise; only the states of two lengths are kept.  When the joined
+    words hold only letters and no cancelling pair, every word is freely
+    reduced and none is tested alone; otherwise each word is.  A word with a
+    non-letter raises ``ValueError``.
     """
     model = get_model(ball.model)
-    step = model.step
+    neighbors = model.neighbors
+    distances = ball.distances
+    get = distances.get
+    radius = ball.radius
     geodesic_failures: list[str] = []
     prefix_failures: list[str] = []
     seen: dict[Hashable, Word] = {}
-    words = sort_words(set(words))
+    # One sort by letter rank: the words that start with w form one run
+    # right after w in any lexicographic order, and a stable sort by length
+    # then gives word_sort_key order.
+    words = sorted(set(words), key=methodcaller("translate", _RANK_DIGITS))
+    joined = "\n".join(words)
+    # Every word is freely reduced when the joined words hold no cancelling
+    # pair and no non-letter but the len(words) − 1 separators; a word that
+    # holds a separator adds to their count.
+    letters_only = len(joined.translate(_DELETE_LETTERS)) == max(len(words) - 1, 0)
+    reduced = letters_only and not (
+        "aA" in joined or "Aa" in joined or "bB" in joined or "Bb" in joined
+    )
+    del joined
+    # A word with a non-letter raises below, where it is reduced or, past the
+    # horizon, formatted, so its rank order need not be lexicographic.
+    terminal = [
+        w
+        for w, successor in zip(words, words[1:] + [None])
+        if len(w) < radius and not (successor and successor.startswith(w))
+    ]
+    words.sort(key=len)
     # States of the reduced words of the previous length and of this one.
     shorter: dict[Word, Hashable] = {}
     level: dict[Word, Hashable] = {}
     level_length = 0
+    # Set when a word's state is not in the ball, which a true ball of
+    # radius R never misses for a word of length <= R.
+    stray = False
     for w in words:
-        if len(w) > ball.radius:
+        size = len(w)
+        if size > radius:
             geodesic_failures.append(f"coverage: {format_word(w)} exceeds horizon")
             continue
-        if free_reduce(w) != w:
+        if not reduced and free_reduce(w) != w:
             geodesic_failures.append(f"{format_word(w)} is not freely reduced")
             continue
-        if len(w) != level_length:
-            shorter, level, level_length = level, {}, len(w)
+        if size != level_length:
+            shorter, level, level_length = level, {}, size
         prefix_state = shorter.get(w[:-1])
         if prefix_state is None:
             state_key = model.evaluate(w)
         else:
-            state_key = step(prefix_state, w[-1])
+            state_key = neighbors(prefix_state)[_RANK[w[-1]]]
         level[w] = state_key
-        if ball.distances.get(state_key, -1) != len(w):
+        if get(state_key, -1) != size:
             geodesic_failures.append(f"{format_word(w)} is not geodesic")
+            stray = stray or state_key not in distances
         if state_key in seen:
             geodesic_failures.append(
                 f"coverage: {format_word(w)} duplicates {format_word(seen[state_key])}"
             )
         else:
             seen[state_key] = w
-    for state in ball.distances:
-        if state not in seen:
-            geodesic_failures.append(f"coverage: no word for state {state}")
-    # The words that start with w form one run right after w in plain str
-    # order, so w is a proper prefix of a language word iff its successor
-    # there starts with it.
-    by_text = sorted(words)
-    terminal = [
-        w
-        for w, successor in zip(by_text, by_text[1:] + [None])
-        if len(w) < ball.radius and not (successor and successor.startswith(w))
-    ]
+    # With no stray state, the seen states are the ball's exactly when there
+    # are as many.
+    if stray or len(seen) != len(distances):
+        for state in distances:
+            if state not in seen:
+                geodesic_failures.append(f"coverage: no word for state {state}")
     for w in sort_words(terminal):
         prefix_failures.append(format_word(w))
     return AuditReport(
@@ -417,10 +452,10 @@ def check_last_letter(ball: BallIndex) -> CheckReport:
     For every element g with 1 <= distance <= radius − 1, the set of
     letters that end some geodesic of g is computed twice: from BFS
     distances (s ends a geodesic iff dist(g·s⁻¹) = dist(g) − 1) and from the
-    closed-form length.  The two sets must be equal and nonempty.  g·s⁻¹ is
-    read off :func:`ckgeo.core.right_neighbors` as the neighbour by s⁻¹, and
-    ``length`` runs once per state and once per neighbour.  Failures come in
-    (distance, state) order whatever the order of the ball's dict.
+    closed-form length, read from :func:`ckgeo.geodesics.local_table` by
+    g's class.  The two sets must be equal and nonempty.  g·s⁻¹ is read off
+    :func:`ckgeo.core.right_neighbors` as the neighbour by s⁻¹.  Failures
+    come in (distance, state) order whatever the order of the ball's dict.
     """
     if ball.model != "ck":
         raise ValueError("the last-letter rule is specific to the ck model")
@@ -428,20 +463,19 @@ def check_last_letter(ball: BallIndex) -> CheckReport:
     failures: list[tuple[int, Hashable, str]] = []
     checked = 0
     get = ball.distances.get
+    table = local_table()
     for state, d in ball.distances.items():
         if d == 0 or d > horizon:
             continue
         checked += 1
-        closed_shorter = length(state) - 1
+        down = d - 1
         oracle_set = ""
-        closed_set = ""
         # g·s⁻¹ is the neighbour by s⁻¹: g·A, g·a, g·B, g·b for s = a, A, b, B.
         by_a, by_A, by_b, by_B = right_neighbors(state)
         for s, h in (("a", by_A), ("A", by_a), ("b", by_B), ("B", by_b)):
-            if get(h, -1) == d - 1:
+            if get(h, -1) == down:
                 oracle_set += s
-            if length(h) == closed_shorter:
-                closed_set += s
+        closed_set = table[local_class(state)][2]
         if oracle_set != closed_set or not oracle_set:
             failures.append(
                 (

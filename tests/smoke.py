@@ -1,6 +1,6 @@
 """CLI smoke run without pytest, for interpreters that have only ckgeo.
 
-Runs twenty-two commands through ``ckgeo.cli.main`` and checks each exit code
+Runs twenty-four commands through ``ckgeo.cli.main`` and checks each exit code
 and the SHA-256 of its stdout.  From the root of a checkout::
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -42,7 +42,12 @@ from ckgeo import cli
 # A radius-1000 ball is over the state budget, which is decided in closed
 # form before any search: exit 3, no output.  The last JSON check-theorem2,
 # recorded before the enumeration met in the middle, pins all 1,050
-# geodesics of a length-15 element, whose words split 7 + 8.
+# geodesics of a length-15 element, whose words split 7 + 8.  The radius-24
+# audit, recorded before the closed-form checks read the local Δ table, pins
+# the benchmark's own audit byte for byte.  The last check-theorem2 is past
+# the ball budget, but its one geodesic is the whole orbit, so it is decided
+# by counting with no ball: exit 0, "element=(0,0,300) length=300
+# geodesics=1 orbit=1 connected=true".
 CASES = [
     (
         ["audit", "--radius", "12"],
@@ -153,6 +158,16 @@ CASES = [
         ["check-theorem2", "(-4,2,9)", "--json"],
         0,
         "98eab69c526e0527bf49da171895d3037eae0936a15008a697de3a8af33a48fc",
+    ),
+    (
+        ["audit", "--radius", "24"],
+        0,
+        "046812c6a0fc3c610d09a3529687d069cf3e43ff4f9d9ddbeb0a2ae4897a0194",
+    ),
+    (
+        ["check-theorem2", "(0,0,300)"],
+        0,
+        "4588c7d795f47cca24acdbc9eddf53ef00587ca698c44760351b60f0c2f869bd",
     ),
 ]
 

@@ -65,9 +65,11 @@ def test_startup_loads_no_dataclasses_or_inspect():
     # Every CLI process starts with these imports; dataclasses, and the
     # inspect it loads, would be about a third of their cost.  -S keeps site
     # hooks from loading either module first, -B keeps bytecode out of src.
+    # The local Δ table is built on first use, never at import.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import ckgeo, ckgeo.cli;"
-        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)),"
+        " ckgeo.geodesics.local_table.cache_info().currsize)"
     )
     src = Path(ckgeo.__file__).resolve().parent.parent
     child = subprocess.run(
@@ -76,7 +78,7 @@ def test_startup_loads_no_dataclasses_or_inspect():
         text=True,
         timeout=60,
     )
-    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[] 0\n", "")
 
 
 class TestIsGeodesic:
@@ -164,6 +166,18 @@ class TestTheorem2:
             "error: (1000000,1000000,1000000) has more geodesics than"
             " geodesic_cap=100000\n"
         )
+
+    @pytest.mark.parametrize("element", ["(0,0,300)", "(0,300,0)"])
+    def test_one_geodesic_needs_no_ball(self, capsys, monkeypatch, element):
+        # Length 300 is past the ball budget, but the orbit of the one
+        # standard word is already all of the element's geodesics.
+        def no_ball(*args, **kwargs):
+            raise AssertionError("build_ball called for a complete orbit")
+
+        monkeypatch.setattr(oracle, "build_ball", no_ball)
+        rc, out, err = run(capsys, "check-theorem2", element)
+        assert (rc, err) == (0, "")
+        assert out == f"element={element} length=300 geodesics=1 orbit=1 connected=true\n"
 
 
 class TestBall:

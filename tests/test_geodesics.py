@@ -1,15 +1,18 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckgeo.core import IDENTITY, Element, evaluate, is_normalized
+from ckgeo import geodesics
+from ckgeo.core import IDENTITY, Element, evaluate, is_normalized, right_neighbors
 from ckgeo.geodesics import (
     RULE_LETTERS,
     LengthTable,
     RegionCase,
     _std_syllables,
+    certify_local,
     classify_region,
     closed_ball_elements,
     continuation_rule_letters,
@@ -18,6 +21,8 @@ from ckgeo.geodesics import (
     is_dead_end,
     is_geodesic,
     length,
+    local_class,
+    local_table,
     std_rep,
 )
 from ckgeo.words import _format_syllables, format_word, free_reduce, syllables
@@ -187,8 +192,9 @@ class TestContinuations:
 
     def test_rule_letters_exact_off_axis(self, ball8):
         # For normalized elements with k != 0 and n >= 1 the region rule
-        # letters are exactly the length-increasing continuations among
-        # {a, b, b^-1}; the a-direction is forced upward.
+        # letters are length-increasing continuations; the a-direction is
+        # forced upward.  They are not all of them: at k + m = 0, as at
+        # (-1,1,2), both b and b^-1 go up and the rule names one.
         for key, dist in ball8.distances.items():
             g = Element(*key)
             if dist >= 8 or not is_normalized(g):
@@ -198,6 +204,7 @@ class TestContinuations:
             rule = continuation_rule_letters(classify_region(g))
             assert set(rule) <= set(continuations(g))
             assert "a" in continuations(g)
+        assert continuations(Element(-1, 1, 2)) == "abB"
 
     def test_axis_carve_out(self, ball8):
         # On the n = 0, k != 0 axis both a and a^-1 step back toward the
@@ -236,6 +243,83 @@ class TestDeadEnds:
     def test_matches_continuations(self, k, m, n):
         g = Element(k, m, n)
         assert is_dead_end(g) == (continuations(g) == "")
+
+
+def _off_by_one_length(g):
+    """length with ||n| − 1| read as ||n| − 2|."""
+    k, m, n = g
+    if m < 0:
+        k, m = -k, -m
+    if n < 0:
+        n = -n
+    if k == 0:
+        return m + n
+    return abs(k + m) + abs(k) + 1 + abs(n - 2)
+
+
+def _untwisted_neighbors(g):
+    """right_neighbors with b stepping m at every n, as in Z³."""
+    k, m, n = g
+    return (k, m, n + 1), (k, m, n - 1), (k, m + 1, n), (k, m - 1, n)
+
+
+class TestLocalCertificate:
+    @pytest.fixture(autouse=True)
+    def fresh_table(self):
+        # The table is built once per process; a mutated length or step must
+        # rebuild it, and no later test may read the mutated one.
+        local_table.cache_clear()
+        yield
+        local_table.cache_clear()
+
+    def test_holds_in_half_a_second(self):
+        start = time.process_time()
+        assert certify_local() == []
+        assert time.process_time() - start <= 0.5
+
+    def test_classes(self):
+        table = local_table()
+        assert len(table) == 657
+        assert len({c[:3] for c in table}) == 73
+        assert local_class(IDENTITY) == (0, 0, 0, 0, 0)
+        assert local_class((10**6, -10**6 + 2, -7)) == (3, -3, 2, -3, 1)
+
+    @pytest.mark.parametrize(
+        "target,mutant",
+        [
+            ("length", _off_by_one_length),
+            ("right_neighbors", _untwisted_neighbors),
+        ],
+    )
+    def test_names_a_class_for_a_wrong_length_or_step(self, monkeypatch, target, mutant):
+        monkeypatch.setattr(geodesics, target, mutant)
+        failures = certify_local()
+        assert failures and all(f.startswith("class (") for f in failures)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (RegionCase.NEG_K_SMALL_EVEN, RegionCase.NEG_K_SMALL_ODD),
+            (RegionCase.NEG_K_DOMINANT, RegionCase.POS_K),
+            (RegionCase.POS_K, RegionCase.ZERO_K),
+        ],
+    )
+    def test_names_a_class_for_a_swapped_rule(self, monkeypatch, first, second):
+        swapped = RULE_LETTERS[second], RULE_LETTERS[first]
+        monkeypatch.setitem(RULE_LETTERS, first, swapped[0])
+        monkeypatch.setitem(RULE_LETTERS, second, swapped[1])
+        failures = certify_local()
+        assert failures and all(f.startswith("class (") for f in failures)
+
+    @given(*(st.integers(min_value=-10**6, max_value=10**6) for _ in range(3)))
+    def test_continuations_match_their_definition(self, k, m, n):
+        g = Element(k, m, n)
+        up = length(g) + 1
+        expected = "".join(
+            s for s, h in zip("aAbB", right_neighbors(g)) if length(h) == up
+        )
+        assert continuations(g) == expected
+        assert is_dead_end(g) == (expected == "")
 
 
 def _reference_geodesic_count(g):

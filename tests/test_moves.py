@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from ckgeo import moves
+from ckgeo import moves, oracle
 from ckgeo.core import Element, evaluate, is_normalized
 from ckgeo.errors import GeodesicCapError, OrbitCapError
 from ckgeo.geodesics import geodesic_count, is_geodesic, std_rep
@@ -554,6 +554,23 @@ class TestGoldenDigests:
             "daa5bbfeab2aa21044b5e72e7d4d13a3b1c5f2ef479ffb01cd338349023d61cb"
         )
 
+    def test_check_theorem2_without_a_ball(self, monkeypatch):
+        # Every orbit there is as large as its closed-form count, so the
+        # counting route gives the ball route's reports with no ball built.
+        keys = sorted(build_ball("ck", 9).distances)
+
+        def no_ball(*args, **kwargs):
+            raise AssertionError("build_ball called for a complete orbit")
+
+        monkeypatch.setattr(oracle, "build_ball", no_ball)
+        digest = hashlib.sha256()
+        for key in keys:
+            report = check_theorem2(Element(*key))
+            digest.update(json.dumps(report.to_dict()).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "daa5bbfeab2aa21044b5e72e7d4d13a3b1c5f2ef479ffb01cd338349023d61cb"
+        )
+
     def test_orbit_of_long_standard_words(self):
         digest = hashlib.sha256()
         for key in _ORBIT_LONG_ELEMENTS:
@@ -596,6 +613,19 @@ class TestConnectivity:
         assert rep.geodesic_count == 12
         assert rep.orbit_size == 12
         assert rep.connected
+
+    def test_short_orbit_falls_back_to_the_ball(self, monkeypatch, ball8):
+        # With clipping's reflections dropped, the detour elements' orbits
+        # fall short of their counts: the no-ball route builds a ball and
+        # lists the same missing words as the route given one.  (2,1,3)
+        # needs no reflection, so its orbit is still complete.
+        monkeypatch.setattr(moves, "clipping_neighbors", lambda w, **kwargs: [])
+        missing = []
+        for g in (Element(2, 2, 0), Element(-1, 3, 0), Element(1, 0, 0), Element(2, 1, 3)):
+            report = check_theorem2(g)
+            assert report == check_theorem2(g, ball=ball8)
+            missing.append(len(report.missing))
+        assert missing == [5, 3, 2, 0]
 
     def test_edges_come_from_the_orbit_walk(self, monkeypatch):
         # perfbench/tracing.py wraps these module globals for moves.orbit_s,

@@ -5,7 +5,7 @@ import pytest
 
 from ckgeo import kernels
 from ckgeo.cli import _length_suite
-from ckgeo.core import GENERATORS, Element, inverse, multiply
+from ckgeo.core import GENERATORS, Element, evaluate, inverse, multiply
 from ckgeo.errors import BallBudgetError, GeodesicCapError
 from ckgeo.geodesics import (
     LengthTable,
@@ -600,3 +600,65 @@ class TestStandardLanguageMatchesReference:
             words = standard_words(model, cap)
             ref = _reference_standard_language("lang", words, ball)
             assert check_standard_language("lang", words, ball) == ref
+
+
+class TestBulkDecisionsFallBack:
+    """The language and length suites decide a clean input in bulk; each
+    defect below must take the per-item route and read as the reference."""
+
+    @pytest.mark.parametrize(
+        "bad,char", [("ab0", "0"), ("a\nb", "\n"), ("\n", "\n"), ("b\n" * 5, "\n")]
+    )
+    def test_non_letter_raises_as_before(self, ball8, bad, char):
+        # "\n" joins the words for the bulk checks, so a word holding one
+        # must not pass for a separator.  Past the horizon the error comes
+        # from formatting the word instead of reducing it.
+        words = standard_words("ck", 8) + [bad]
+        with pytest.raises(ValueError) as ref:
+            _reference_standard_language("lang", words, ball8)
+        with pytest.raises(ValueError) as got:
+            check_standard_language("lang", words, ball8)
+        assert str(got.value) == str(ref.value) == f"not a letter: {char!r}"
+
+    def test_unreduced_word_is_reported_in_place(self, ball8):
+        words = standard_words("ck", 8) + ["abBa", "bAab"]
+        ref = _reference_standard_language("lang", words, ball8)
+        assert check_standard_language("lang", words, ball8) == ref
+        assert "a b b^-1 a is not freely reduced" in ref.geodesic_failures
+
+    def test_state_with_no_word(self, ball8):
+        words = standard_words("ck", 8)
+        dropped = words.pop(100)
+        ref = _reference_standard_language("lang", words, ball8)
+        assert check_standard_language("lang", words, ball8) == ref
+        assert ref.geodesic_failures == (
+            f"coverage: no word for state {tuple(evaluate(dropped))}",
+        )
+
+    def test_ball_with_a_state_removed(self, ball8):
+        # With one ball state removed and another's word dropped, as many
+        # states are seen as the ball holds, but not the same ones.
+        words = standard_words("ck", 8)
+        removed = tuple(evaluate(words.pop(200)))
+        words.append(std_rep(Element(0, 0, 9))[:-1])
+        dropped = tuple(evaluate(words.pop(100)))
+        distances = dict(ball8.distances)
+        del distances[removed]
+        ball = BallIndex("ck", 8, distances, ball8.frontier_sizes)
+        words.append(std_rep(Element(*removed)))
+        ref = _reference_standard_language("lang", words, ball)
+        assert check_standard_language("lang", words, ball) == ref
+        assert f"coverage: no word for state {dropped}" in ref.geodesic_failures
+
+    def test_length_table_with_a_wrong_value_and_an_extra_element(self, ball8):
+        entries = dict(LengthTable.build(8).entries)
+        entries[Element(1, 0, 0)] += 1
+        entries[Element(0, 0, 9)] = 9
+        table = LengthTable(8, entries)
+        ref = _reference_length_suite(ball8, table).to_dict()
+        assert _length_suite(ball8, table).to_dict() == ref
+        assert _length_suite(_shuffled(ball8), table).to_dict() == ref
+        assert ref["failures"] == [
+            "(1,0,0): closed form 5, oracle 4",
+            "(0,0,9): closed-form extra state",
+        ]
